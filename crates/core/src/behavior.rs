@@ -5,7 +5,6 @@
 //! user-perceived latency, plus the parsing-cost statistics the
 //! application-layer analyzer needs for calibration (§5.1).
 
-use serde::{Deserialize, Serialize};
 use simcore::{RecordLog, SimDuration, SimTime};
 
 /// How the start timestamp of a measurement was obtained, which determines
@@ -15,7 +14,7 @@ use simcore::{RecordLog, SimDuration, SimTime};
 ///   `t_offset + t_parsing = (3/2)·t_parsing`;
 /// * started by observing a UI change (progress bar appearing) → start and
 ///   end carry the same expected offset, leaving one `t_parsing`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartKind {
     /// Start = the instant the controller injected the triggering event.
     Trigger,
@@ -24,7 +23,7 @@ pub enum StartKind {
 }
 
 /// One measured interaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorRecord {
     /// Action label, e.g. `upload_post:status`, `pull_to_update`,
     /// `video:initial_loading`, `video:rebuffer`, `page_load`.

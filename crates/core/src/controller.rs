@@ -225,34 +225,9 @@ impl Controller {
     /// Advance the world to `target`, processing every due event.
     pub fn advance_to(&mut self, target: SimTime) {
         assert!(target >= self.now, "time goes forward");
-        loop {
-            // Settle work at the current instant.
-            let mut settles = 0;
-            while self.world.next_wake().is_some_and(|w| w <= self.now) {
-                simcore::watchdog::observe(self.now);
-                self.world.tick(self.now);
-                settles += 1;
-                assert!(
-                    settles < 100_000,
-                    "livelock at {}: {}",
-                    self.now,
-                    self.world.wake_report()
-                );
-            }
-            match self.world.next_wake() {
-                Some(w) if w <= target => self.now = w,
-                _ => break,
-            }
-        }
+        simcore::advance(&mut self.world, self.now, target);
         self.now = target;
-        // Settle at the target instant too.
-        let mut settles = 0;
-        while self.world.next_wake().is_some_and(|w| w <= self.now) {
-            simcore::watchdog::observe(self.now);
-            self.world.tick(self.now);
-            settles += 1;
-            assert!(settles < 100_000, "livelock at {}", self.now);
-        }
+        simcore::settle(&mut self.world, self.now);
     }
 
     /// Let the scenario run for `d` (idle data collection).

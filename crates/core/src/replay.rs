@@ -10,11 +10,10 @@
 use crate::controller::{Controller, WaitCondition};
 use device::ui::ViewSignature;
 use device::UiEvent;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// A serializable wait condition (mirrors [`WaitCondition`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaitSpec {
     /// Text containing `needle` appears under the view `container`.
     TextAppears {
@@ -60,7 +59,7 @@ impl From<&WaitSpec> for WaitCondition {
 }
 
 /// A UI interaction in a specification (addressed by view id).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InteractSpec {
     /// Tap a view.
     Click {
@@ -102,7 +101,7 @@ impl InteractSpec {
 }
 
 /// One step of a replay session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReplayStep {
     /// Let the scenario run idle for a while (inter-action timing — the
     /// paper supports replaying sequences "both with and without replaying
@@ -145,7 +144,7 @@ pub enum ReplayStep {
 }
 
 /// A named, replayable user-behaviour specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplaySpec {
     /// Specification name (e.g. `facebook:upload_post`).
     pub name: String,

@@ -143,12 +143,11 @@ mod tests {
         for _ in 0..10_000 {
             rpc.poll(&mut phone_host, now);
             phone_host.poll(now);
-            let ups = phone_host.take_egress();
-            for p in ups {
+            while let Some(p) = phone_host.pop_egress() {
                 internet.route(p, now);
             }
             internet.tick(now);
-            for p in internet.take_egress(now) {
+            for p in internet.take_egress() {
                 phone_host.on_packet(&p, now);
             }
             if rpc.poll(&mut phone_host, now) {

@@ -389,7 +389,7 @@ impl Internet {
     }
 
     /// Drain packets heading back toward the access network.
-    pub fn take_egress(&mut self, _now: SimTime) -> Vec<IpPacket> {
+    pub fn take_egress(&mut self) -> Vec<IpPacket> {
         let mut out = core::mem::take(&mut self.dns_egress);
         for node in &mut self.nodes {
             while let Some(p) = node.host.pop_egress() {
@@ -427,13 +427,13 @@ mod tests {
     fn pump(client: &mut Host, net: &mut Internet, now: SimTime) {
         for _ in 0..10_000 {
             client.poll(now);
-            let ups = client.take_egress();
+            let ups: Vec<IpPacket> = std::iter::from_fn(|| client.pop_egress()).collect();
             let had = !ups.is_empty();
             for p in ups {
                 net.route(p, now);
             }
             net.tick(now);
-            let downs = net.take_egress(now);
+            let downs = net.take_egress();
             let got = !downs.is_empty();
             for p in downs {
                 client.on_packet(&p, now);
@@ -521,6 +521,6 @@ mod tests {
         };
         net.route(stray, SimTime::ZERO);
         net.tick(SimTime::ZERO);
-        assert!(net.take_egress(SimTime::ZERO).is_empty());
+        assert!(net.take_egress().is_empty());
     }
 }

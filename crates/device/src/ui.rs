@@ -14,11 +14,10 @@
 //! to [`UiTree::snapshot`], and a [`ScreenEvent`] with the draw-completed
 //! time lands in the camera log.
 
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
 /// One node of the layout tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// Android class name, e.g. `android.widget.ProgressBar`.
     pub class: String,
@@ -109,7 +108,7 @@ impl View {
 
 /// Addresses a view by characteristics rather than coordinates (§4.1), so
 /// replay specifications transfer across devices and screen sizes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewSignature {
     /// Required class name, if any.
     pub class: Option<String>,
@@ -164,7 +163,7 @@ impl ViewSignature {
 }
 
 /// Ground-truth record: a labelled UI change and when it hit the screen.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScreenEvent {
     /// What changed (e.g. `progress:feed_progress:hide`, `feed:item:<text>`).
     pub label: String,

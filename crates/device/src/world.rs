@@ -4,7 +4,7 @@
 //! entire experiment: the phone's stack and radio, the packet exchange with
 //! the internet hub, and every origin server.
 
-use crate::phone::Phone;
+use crate::phone::{NetAttachment, Phone};
 use crate::servers::Internet;
 use simcore::{earlier, SimTime, Tick};
 
@@ -34,28 +34,6 @@ impl World {
     pub fn add_peer(&mut self, peer: Phone) {
         self.peers.push(peer);
     }
-
-    /// Human-readable report of each component's next wake time, for
-    /// diagnosing livelocks (a component that keeps requesting immediate
-    /// work without making progress).
-    pub fn wake_report(&self) -> String {
-        let host = self.phone.host.next_wake();
-        let app = self.phone.app.next_wake();
-        let net = match &self.phone.net {
-            crate::phone::NetAttachment::Cell(b) => {
-                return format!(
-                    "host={host:?} app={app:?} internet={:?} bearer[{}]",
-                    self.internet.next_wake(),
-                    b.wake_report()
-                );
-            }
-            crate::phone::NetAttachment::Wifi { up, down } => {
-                simcore::earlier(up.next_wake(), down.next_wake())
-            }
-        };
-        let internet = self.internet.next_wake();
-        format!("host={host:?} app={app:?} net={net:?} internet={internet:?}")
-    }
 }
 
 impl Tick for World {
@@ -71,7 +49,7 @@ impl Tick for World {
             }
         }
         self.internet.tick(now);
-        for p in self.internet.take_egress(now) {
+        for p in self.internet.take_egress() {
             // Route downlink traffic to whichever device owns the address.
             if p.dst.ip == self.phone.host.ip {
                 self.phone.deliver_downlink(p, now);
@@ -87,5 +65,22 @@ impl Tick for World {
             wake = earlier(wake, peer.next_wake());
         }
         wake
+    }
+
+    /// Each component's next wake time, so a livelock panic names the one
+    /// that keeps requesting immediate work without making progress.
+    fn wake_report(&self) -> String {
+        let net = match &self.phone.net {
+            NetAttachment::Cell(b) => format!("bearer[{}]", b.wake_report()),
+            NetAttachment::Wifi { up, down } => {
+                format!("net={:?}", earlier(up.next_wake(), down.next_wake()))
+            }
+        };
+        format!(
+            "host={:?} app={:?} {net} internet={:?}",
+            self.phone.host.next_wake(),
+            self.phone.app.next_wake(),
+            self.internet.next_wake()
+        )
     }
 }

@@ -8,19 +8,6 @@ use std::time::{Duration, Instant};
 use simcore::watchdog;
 use simcore::{SimDuration, SimTime};
 
-/// How a job's work is invoked.
-enum JobRun<T> {
-    /// Classic single-shot job: runs once, any panic is terminal.
-    Once(Box<dyn FnOnce() -> T + Send>),
-    /// Fault-aware job: the closure gets the attempt number (1-based) and
-    /// may fail softly with `Err(reason)`; the executor retries up to
-    /// `max_attempts` times before recording the job as faulted.
-    Fallible {
-        max_attempts: u32,
-        run: Box<dyn FnMut(u32) -> Result<T, String> + Send>,
-    },
-}
-
 /// One cell of a campaign grid: a labelled, seeded unit of work producing a
 /// result row of type `T`. The closure builds and runs its own simulation
 /// world — jobs share nothing, which is what makes the campaign
@@ -32,7 +19,11 @@ pub struct Job<T> {
     pub seed: u64,
     /// Simulated duration covered by this job, if known up front (seconds).
     pub sim_secs: Option<f64>,
-    run: JobRun<T>,
+    /// Attempts the executor makes before recording the job as faulted.
+    max_attempts: u32,
+    /// The work: gets the attempt number (1-based) and may fail softly with
+    /// `Err(reason)`. A plain job is a one-attempt job that never does.
+    run: Box<dyn FnMut(u32) -> Result<T, String> + Send>,
 }
 
 /// How a job ended.
@@ -137,6 +128,41 @@ impl<T: Send> Campaign<T> {
         self
     }
 
+    /// Append a job the executor tries up to `max_attempts` times.
+    fn push(
+        &mut self,
+        label: impl Into<String>,
+        seed: u64,
+        sim_secs: Option<f64>,
+        max_attempts: u32,
+        run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
+    ) -> &mut Self {
+        assert!(max_attempts >= 1, "at least one attempt");
+        self.jobs.push(Job {
+            label: label.into(),
+            seed,
+            sim_secs,
+            max_attempts,
+            run: Box::new(run),
+        });
+        self
+    }
+
+    /// Append a one-attempt fallible job whose closure may consume its
+    /// captures (the executor never calls it twice).
+    pub(crate) fn once_job(
+        &mut self,
+        label: impl Into<String>,
+        seed: u64,
+        sim_secs: Option<f64>,
+        run: impl FnOnce() -> Result<T, String> + Send + 'static,
+    ) -> &mut Self {
+        let mut run = Some(run);
+        self.push(label, seed, sim_secs, 1, move |_| {
+            run.take().expect("a one-attempt job runs once")()
+        })
+    }
+
     /// Append a job. Jobs run in any order but their results always come
     /// back in append order.
     pub fn job(
@@ -145,13 +171,7 @@ impl<T: Send> Campaign<T> {
         seed: u64,
         run: impl FnOnce() -> T + Send + 'static,
     ) -> &mut Self {
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: None,
-            run: JobRun::Once(Box::new(run)),
-        });
-        self
+        self.once_job(label, seed, None, move || Ok(run()))
     }
 
     /// Append a job that covers a known simulated duration (recorded in the
@@ -163,13 +183,7 @@ impl<T: Send> Campaign<T> {
         sim_secs: f64,
         run: impl FnOnce() -> T + Send + 'static,
     ) -> &mut Self {
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: Some(sim_secs),
-            run: JobRun::Once(Box::new(run)),
-        });
-        self
+        self.once_job(label, seed, Some(sim_secs), move || Ok(run()))
     }
 
     /// Append a fault-aware job: the closure receives the attempt number
@@ -185,25 +199,7 @@ impl<T: Send> Campaign<T> {
         max_attempts: u32,
         run: impl FnMut(u32) -> Result<T, String> + Send + 'static,
     ) -> &mut Self {
-        assert!(max_attempts >= 1, "at least one attempt");
-        self.jobs.push(Job {
-            label: label.into(),
-            seed,
-            sim_secs: None,
-            run: JobRun::Fallible {
-                max_attempts,
-                run: Box::new(run),
-            },
-        });
-        self
-    }
-
-    /// Stamp the most recently appended job with a known simulated duration
-    /// (fallible jobs have no timed variant; staged lowering uses this).
-    pub(crate) fn set_last_sim_secs(&mut self, sim_secs: f64) {
-        if let Some(j) = self.jobs.last_mut() {
-            j.sim_secs = Some(sim_secs);
-        }
+        self.push(label, seed, None, max_attempts, run)
     }
 
     /// Number of jobs in the grid.
@@ -257,6 +253,7 @@ impl<T: Send> Campaign<T> {
                         label,
                         seed,
                         sim_secs,
+                        max_attempts,
                         run,
                     } = pending[idx]
                         .lock()
@@ -264,7 +261,7 @@ impl<T: Send> Campaign<T> {
                         .take()
                         .expect("job claimed twice");
                     let t0 = Instant::now();
-                    let outcome = execute(run, sim_cap, event_budget);
+                    let outcome = execute(run, max_attempts, sim_cap, event_budget);
                     *done[idx].lock().unwrap() = Some(JobResult {
                         label,
                         seed,
@@ -302,42 +299,28 @@ fn attempt<T>(
     .map_err(|payload| panic_message(payload.as_ref()))
 }
 
-fn execute<T>(run: JobRun<T>, sim_cap: Option<SimTime>, event_budget: Option<u64>) -> Outcome<T> {
-    match run {
-        JobRun::Once(f) => match attempt(f, sim_cap, event_budget) {
-            Ok(row) => Outcome::Ok(row),
-            // A watchdog trip is a *diagnosed* fault (the job overran its
-            // sim budget), not a bug in the job.
-            Err(msg) if watchdog::is_trip(&msg) => Outcome::Faulted {
-                reason: msg,
-                attempts: 1,
-            },
-            Err(msg) => Outcome::Panicked(msg),
-        },
-        JobRun::Fallible {
-            max_attempts,
-            mut run,
-        } => {
-            let mut last_reason = String::new();
-            for att in 1..=max_attempts {
-                match attempt(|| run(att), sim_cap, event_budget) {
-                    Ok(Ok(row)) => {
-                        return if att == 1 {
-                            Outcome::Ok(row)
-                        } else {
-                            Outcome::Retried { row, attempts: att }
-                        };
-                    }
-                    Ok(Err(reason)) => last_reason = reason,
-                    Err(msg) if watchdog::is_trip(&msg) => last_reason = msg,
-                    Err(msg) => return Outcome::Panicked(msg),
-                }
-            }
-            Outcome::Faulted {
-                reason: last_reason,
-                attempts: max_attempts,
-            }
+/// Run up to `max_attempts` guarded attempts. A soft `Err` or a watchdog
+/// trip (the job overran its sim budget — a *diagnosed* fault, not a bug in
+/// the job) fails the attempt; any other panic is terminal.
+fn execute<T>(
+    mut run: Box<dyn FnMut(u32) -> Result<T, String> + Send>,
+    max_attempts: u32,
+    sim_cap: Option<SimTime>,
+    event_budget: Option<u64>,
+) -> Outcome<T> {
+    let mut last_reason = String::new();
+    for att in 1..=max_attempts {
+        match attempt(|| run(att), sim_cap, event_budget) {
+            Ok(Ok(row)) if att == 1 => return Outcome::Ok(row),
+            Ok(Ok(row)) => return Outcome::Retried { row, attempts: att },
+            Ok(Err(reason)) => last_reason = reason,
+            Err(msg) if watchdog::is_trip(&msg) => last_reason = msg,
+            Err(msg) => return Outcome::Panicked(msg),
         }
+    }
+    Outcome::Faulted {
+        reason: last_reason,
+        attempts: max_attempts,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Minimal JSON document model and writer.
 //!
-//! The offline `serde` shim can't serialize, so campaign reports are built
-//! from this small value tree instead. Object fields keep insertion order,
+//! The workspace has no serialization dependency, so campaign reports are
+//! built from this small value tree. Object fields keep insertion order,
 //! which — together with deterministic inputs — makes report bodies
 //! reproducible byte-for-byte. Non-finite floats serialize as `null`
 //! (JSON has no NaN/Infinity).

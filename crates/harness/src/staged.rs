@@ -308,8 +308,12 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
         self.jobs.is_empty()
     }
 
-    fn base_campaign(&self, counters: &Arc<StageCounters>, simulates: bool) -> Campaign<T> {
-        let mut c: Campaign<T> = Campaign::new(self.name.clone());
+    fn base_campaign<R: Send>(
+        &self,
+        counters: &Arc<StageCounters>,
+        simulates: bool,
+    ) -> Campaign<R> {
+        let mut c: Campaign<R> = Campaign::new(self.name.clone());
         if simulates {
             if let Some(cap) = self.sim_cap {
                 c.sim_cap(cap);
@@ -329,106 +333,44 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
     /// rows — and anything printed from them — are byte-identical across
     /// modes, provided the bundle round-trip is lossless.
     pub fn into_campaign(self, mode: &StageMode) -> Campaign<T> {
-        let meta_for = |name: &str, j: &StagedJob<A, T>| BundleMeta {
-            seed: j.seed,
-            config_digest: j.config_digest,
-            scenario: format!("{name}/{}", j.label),
-            end: SimTime::ZERO,
-        };
-        match mode {
-            StageMode::Inline => {
-                let counters = StageCounters::new("inline");
-                let mut c = self.base_campaign(&counters, true);
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        record,
-                        analyze,
-                        ..
-                    } = j;
-                    let run = move || {
-                        let artifact = counters.timed_record(record);
-                        counters.timed_analyze(&artifact, analyze)
-                    };
-                    match sim_secs {
-                        Some(s) => c.timed_job(label, seed, s, run),
-                        None => c.job(label, seed, run),
-                    };
-                }
-                c
-            }
-            StageMode::Analyze(root) => {
-                let counters = StageCounters::new("analyze");
-                let mut c = self.base_campaign(&counters, false);
-                let name = self.name;
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-                    let want = meta_for(&name, &j);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        analyze,
-                        ..
-                    } = j;
-                    let mut analyze = Some(analyze);
-                    let run = move |_attempt: u32| -> Result<T, String> {
-                        let analyze = analyze.take().expect("analyze ran twice");
-                        let (artifact, meta) = match A::load_bundle(&dir) {
-                            Ok(v) => v,
-                            Err(e) => {
-                                counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                                return Err(format!(
-                                    "no usable bundle at {}: {e} (run `record` first)",
-                                    dir.display()
-                                ));
-                            }
-                        };
-                        if let Err(e) = check_identity(&meta, &want) {
+        let counters = StageCounters::new(match mode {
+            StageMode::Inline => "inline",
+            StageMode::Analyze(_) => "analyze",
+            StageMode::Cached(_) => "cached",
+        });
+        let mut c = self.base_campaign(&counters, !matches!(mode, StageMode::Analyze(_)));
+        for j in self.jobs {
+            let counters = Arc::clone(&counters);
+            let (label, seed, sim_secs) = (j.label.clone(), j.seed, j.sim_secs);
+            match mode {
+                StageMode::Inline => c.once_job(label, seed, sim_secs, move || {
+                    let artifact = counters.timed_record(j.record);
+                    Ok(counters.timed_analyze(&artifact, j.analyze))
+                }),
+                // Analyze mode keeps the journal's sim_secs: the bundle
+                // covers that much simulated time even if analysis itself
+                // simulates nothing.
+                StageMode::Analyze(root) => {
+                    let (dir, want) = j.bundle(root, &self.name);
+                    c.once_job(label, seed, sim_secs, move || {
+                        let (artifact, meta) = A::load_bundle(&dir).map_err(|e| {
                             counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                            return Err(format!("bundle {} is stale: {e}", dir.display()));
-                        }
+                            format!(
+                                "no usable bundle at {}: {e} (run `record` first)",
+                                dir.display()
+                            )
+                        })?;
+                        check_identity(&meta, &want).map_err(|e| {
+                            counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                            format!("bundle {} is stale: {e}", dir.display())
+                        })?;
                         counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        Ok(counters.timed_analyze(&artifact, analyze))
-                    };
-                    match sim_secs {
-                        Some(s) => {
-                            // Keep the journal's sim_secs: the bundle covers
-                            // that much simulated time even if analysis
-                            // itself simulates nothing.
-                            c.fallible_job(label, seed, 1, run);
-                            c.set_last_sim_secs(s);
-                        }
-                        None => {
-                            c.fallible_job(label, seed, 1, run);
-                        }
-                    }
+                        Ok(counters.timed_analyze(&artifact, j.analyze))
+                    })
                 }
-                c
-            }
-            StageMode::Cached(root) => {
-                let counters = StageCounters::new("cached");
-                let mut c = self.base_campaign(&counters, true);
-                let name = self.name;
-                for j in self.jobs {
-                    let counters = Arc::clone(&counters);
-                    let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-                    let want = meta_for(&name, &j);
-                    let StagedJob {
-                        label,
-                        seed,
-                        sim_secs,
-                        record,
-                        analyze,
-                        ..
-                    } = j;
-                    let mut stage = Some((record, analyze));
-                    let run = move |_attempt: u32| -> Result<T, String> {
-                        let (record, analyze) = stage.take().expect("job ran twice");
+                StageMode::Cached(root) => {
+                    let (dir, want) = j.bundle(root, &self.name);
+                    c.once_job(label, seed, sim_secs, move || {
                         let artifact = match A::load_bundle(&dir) {
                             Ok((artifact, meta)) if check_identity(&meta, &want).is_ok() => {
                                 counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -442,58 +384,35 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
                                         format!("cannot clear stale bundle {}: {e}", dir.display())
                                     })?;
                                 }
-                                let artifact = counters.timed_record(record);
+                                let artifact = counters.timed_record(j.record);
                                 artifact.save_bundle(&dir, &want).map_err(|e| {
                                     format!("cannot save bundle {}: {e}", dir.display())
                                 })?;
                                 artifact
                             }
                         };
-                        Ok(counters.timed_analyze(&artifact, analyze))
-                    };
-                    c.fallible_job(label, seed, 1, run);
-                    if let Some(s) = sim_secs {
-                        c.set_last_sim_secs(s);
-                    }
+                        Ok(counters.timed_analyze(&artifact, j.analyze))
+                    })
                 }
-                c
-            }
+            };
         }
+        c
     }
 
     /// Lower to a record-only [`Campaign`]: every job simulates, saves its
     /// bundle under `root`, and reports where it landed.
     pub fn into_record_campaign(self, root: &Path) -> Campaign<BundleRow> {
         let counters = StageCounters::new("record");
-        let mut c: Campaign<BundleRow> = Campaign::new(self.name.clone());
-        if let Some(cap) = self.sim_cap {
-            c.sim_cap(cap);
-        }
-        if let Some(budget) = self.event_budget {
-            c.event_budget(budget);
-        }
-        c.stage_counters = Some(Arc::clone(&counters));
-        let name = self.name;
+        let mut c = self.base_campaign(&counters, true);
         for j in self.jobs {
             let counters = Arc::clone(&counters);
-            let dir = bundle_dir(root, &name, &j.label, j.seed, j.config_digest);
-            let meta = BundleMeta {
-                seed: j.seed,
-                config_digest: j.config_digest,
-                scenario: format!("{name}/{}", j.label),
-                end: SimTime::ZERO,
+            let (dir, meta) = j.bundle(root, &self.name);
+            let row = BundleRow {
+                label: j.label.clone(),
+                dir: dir.clone(),
             };
-            let StagedJob {
-                label,
-                seed,
-                sim_secs,
-                record,
-                ..
-            } = j;
-            let row_label = label.clone();
-            let mut record = Some(record);
-            let run = move |_attempt: u32| -> Result<BundleRow, String> {
-                let record = record.take().expect("record ran twice");
+            let record = j.record;
+            c.once_job(j.label, j.seed, j.sim_secs, move || {
                 let artifact = counters.timed_record(record);
                 if dir.exists() {
                     std::fs::remove_dir_all(&dir)
@@ -502,17 +421,25 @@ impl<A: BundleArtifact + Send + 'static, T: Send + 'static> StagedCampaign<A, T>
                 artifact
                     .save_bundle(&dir, &meta)
                     .map_err(|e| format!("cannot save bundle {}: {e}", dir.display()))?;
-                Ok(BundleRow {
-                    label: row_label.clone(),
-                    dir: dir.clone(),
-                })
-            };
-            c.fallible_job(label, seed, 1, run);
-            if let Some(s) = sim_secs {
-                c.set_last_sim_secs(s);
-            }
+                Ok(row)
+            });
         }
         c
+    }
+}
+
+impl<A, T> StagedJob<A, T> {
+    /// The job's content-addressed bundle directory under `root`, and the
+    /// identity its bundle is saved with and checked against on load.
+    fn bundle(&self, root: &Path, campaign: &str) -> (PathBuf, BundleMeta) {
+        let dir = bundle_dir(root, campaign, &self.label, self.seed, self.config_digest);
+        let meta = BundleMeta {
+            seed: self.seed,
+            config_digest: self.config_digest,
+            scenario: format!("{campaign}/{}", self.label),
+            end: SimTime::ZERO,
+        };
+        (dir, meta)
     }
 }
 

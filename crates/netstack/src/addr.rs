@@ -7,10 +7,9 @@
 //! together.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// An IPv4-style address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IpAddr(pub u32);
 
 impl IpAddr {
@@ -33,7 +32,7 @@ impl fmt::Display for IpAddr {
 }
 
 /// A transport endpoint: address and port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketAddr {
     /// IP address.
     pub ip: IpAddr,
@@ -55,7 +54,7 @@ impl fmt::Display for SocketAddr {
 }
 
 /// Directed TCP flow 4-tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     /// Sender endpoint.
     pub src: SocketAddr,

@@ -3,7 +3,7 @@
 //! Both the simulated phone and the origin servers own a `Host`. The host is
 //! a passive state machine in the smoltcp style: the owner feeds incoming
 //! packets with [`Host::on_packet`], drives protocol machinery with
-//! [`Host::poll`], and drains outgoing packets from [`Host::take_egress`].
+//! [`Host::poll`], and drains outgoing packets with [`Host::pop_egress`].
 
 use crate::addr::{IpAddr, SocketAddr};
 use crate::dns;
@@ -215,15 +215,9 @@ impl Host {
         }
     }
 
-    /// Drain packets queued for transmission.
-    pub fn take_egress(&mut self) -> Vec<IpPacket> {
-        self.egress.drain(..).collect()
-    }
-
-    /// Pop the next packet queued for transmission, if any. The zero-copy
-    /// sibling of [`Host::take_egress`]: a `while let` loop over this moves
-    /// each packet straight from the egress ring to the link with no
-    /// intermediate `Vec` per tick.
+    /// Pop the next packet queued for transmission, if any. A `while let`
+    /// loop over this moves each packet straight from the egress ring to the
+    /// link with no intermediate `Vec` per tick.
     pub fn pop_egress(&mut self) -> Option<IpPacket> {
         self.egress.pop_front()
     }
@@ -269,7 +263,9 @@ mod tests {
         for _ in 0..10_000 {
             a.poll(now);
             b.poll(now);
-            let pkts: Vec<IpPacket> = a.take_egress().into_iter().chain(b.take_egress()).collect();
+            let pkts: Vec<IpPacket> = std::iter::from_fn(|| a.pop_egress())
+                .chain(std::iter::from_fn(|| b.pop_egress()))
+                .collect();
             if pkts.is_empty() {
                 break;
             }
@@ -345,14 +341,14 @@ mod tests {
         );
         assert!(client.resolve("x.example", SimTime::ZERO).is_none());
         client.poll(SimTime::ZERO);
-        assert_eq!(client.take_egress().len(), 1);
+        assert_eq!(std::iter::from_fn(|| client.pop_egress()).count(), 1);
         // No response: nothing to send until the retry timer.
         client.poll(SimTime::from_millis(10));
-        assert!(client.take_egress().is_empty());
+        assert!(client.pop_egress().is_none());
         let wake = client.next_wake().expect("retry scheduled");
         assert_eq!(wake, SimTime::from_secs(1));
         client.poll(wake);
-        assert_eq!(client.take_egress().len(), 1);
+        assert_eq!(std::iter::from_fn(|| client.pop_egress()).count(), 1);
     }
 
     #[test]
@@ -369,11 +365,11 @@ mod tests {
         );
         let _c = client.connect(SocketAddr::new(server.ip, 9999));
         client.poll(SimTime::ZERO);
-        for p in client.take_egress() {
+        while let Some(p) = client.pop_egress() {
             server.on_packet(&p, SimTime::ZERO);
         }
         server.poll(SimTime::ZERO);
-        assert!(server.take_egress().is_empty());
+        assert!(server.pop_egress().is_none());
         assert_eq!(server.socket_count(), 0);
     }
 
@@ -418,7 +414,9 @@ mod tests {
         client.sock_mut(c1).send(0);
         client.sock_mut(c2).send(0);
         client.poll(SimTime::ZERO);
-        let ids: Vec<u64> = client.take_egress().iter().map(|p| p.id).collect();
+        let ids: Vec<u64> = std::iter::from_fn(|| client.pop_egress())
+            .map(|p| p.id)
+            .collect();
         let mut dedup = ids.clone();
         dedup.sort_unstable();
         dedup.dedup();

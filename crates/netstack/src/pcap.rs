@@ -7,11 +7,10 @@
 
 use crate::addr::FlowKey;
 use crate::packet::IpPacket;
-use serde::{Deserialize, Serialize};
 use simcore::{RecordLog, SimTime};
 
 /// Direction of a captured packet relative to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Sent by the device.
     Uplink,
@@ -20,7 +19,7 @@ pub enum Direction {
 }
 
 /// One captured packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketRecord {
     /// Direction relative to the device.
     pub dir: Direction,

@@ -7,11 +7,10 @@
 //! published measurements for 3G (\[22\]) and LTE (\[34\]).
 
 use crate::rrc::RrcState;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Per-RRC-state radio power draw in milliwatts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModel {
     /// 3G DCH.
     pub dch_mw: f64,
@@ -68,7 +67,7 @@ impl PowerModel {
 /// transfer while waiting for demotion timers; everything else in
 /// high-power states is non-tail. Low-power residency is baseline and is
 /// excluded (matching "network energy" accounting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Energy spent in high-power states while data was flowing, in joules.
     pub non_tail_j: f64,

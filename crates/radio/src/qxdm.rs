@@ -13,7 +13,6 @@
 use crate::rlc::{PduEvent, StatusEvent};
 use crate::rrc::RrcTransition;
 use netstack::pcap::Direction;
-use serde::{Deserialize, Serialize};
 use simcore::{DetRng, RecordLog, SimTime};
 
 /// Logger parameters.
@@ -63,7 +62,7 @@ impl QxdmConfig {
 
 /// What QxDM records about one PDU — note: no packet identity, only the
 /// first two payload bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PduRecord {
     /// Direction the PDU travelled.
     pub dir: Direction,
@@ -82,7 +81,7 @@ pub struct PduRecord {
 }
 
 /// A recorded STATUS PDU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatusRecord {
     /// Direction of the data the STATUS acknowledges.
     pub data_dir: Direction,

@@ -30,6 +30,6 @@ pub mod watchdog;
 pub use log::{RecordLog, Stamped};
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use runner::{earlier, run_until, Tick};
+pub use runner::{advance, earlier, run_until, settle, Tick};
 pub use stats::{midranks, percentile, percentile_sorted, BinSeries, Cdf, SortedSamples, Summary};
 pub use time::{SimDuration, SimTime};

@@ -6,10 +6,9 @@
 //! later scans and windows. [`RecordLog`] is that shared shape.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One timestamped record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stamped<T> {
     /// When the record was logged on the simulated clock.
     pub at: SimTime,
@@ -18,7 +17,7 @@ pub struct Stamped<T> {
 }
 
 /// An append-only log of timestamped records, kept in arrival order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordLog<T> {
     entries: Vec<Stamped<T>>,
 }

@@ -7,7 +7,8 @@
 //! shared clock from wake to wake. Because ticking one sub-component can
 //! create same-instant work for another (a packet handed across a zero-cost
 //! boundary), the runner re-ticks at a fixed instant until the root reports
-//! no more work due, before letting time advance.
+//! no more work due ([`settle`]) before letting time advance ([`advance`]).
+//! These two functions are the workspace's only settle loop.
 
 use crate::time::SimTime;
 
@@ -20,6 +21,13 @@ pub trait Tick {
     /// when idle. May return instants `<= now` while same-instant work
     /// remains.
     fn next_wake(&self) -> Option<SimTime>;
+
+    /// Human-readable state for a livelock panic: which sub-component keeps
+    /// requesting work. Composite roots override this; the default says
+    /// only when the component next wakes.
+    fn wake_report(&self) -> String {
+        format!("next wake {:?}", self.next_wake())
+    }
 }
 
 /// Combine two optional wake times into the earlier one.
@@ -35,28 +43,41 @@ pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 /// declares a livelock. Generous; real cascades settle in a handful.
 const SETTLE_LIMIT: u32 = 100_000;
 
-/// Run `root` until the clock would pass `end` or the system goes idle.
-/// Returns the time of the last processed instant.
-pub fn run_until<T: Tick>(root: &mut T, end: SimTime) -> SimTime {
-    let mut now = SimTime::ZERO;
+/// Tick `root` at `now` until it reports no more work due at or before
+/// `now`. Panics with the root's [`Tick::wake_report`] if that takes
+/// `SETTLE_LIMIT` ticks.
+pub fn settle<T: Tick>(root: &mut T, now: SimTime) {
+    let mut settles = 0;
+    while root.next_wake().is_some_and(|w| w <= now) {
+        crate::watchdog::observe(now);
+        root.tick(now);
+        settles += 1;
+        assert!(
+            settles < SETTLE_LIMIT,
+            "livelock at {now}: {}",
+            root.wake_report()
+        );
+    }
+}
+
+/// Settle `root` at `from`, then at every later instant with work up to and
+/// including `end`. Returns the time of the last processed instant (`from`
+/// if nothing was due).
+pub fn advance<T: Tick>(root: &mut T, from: SimTime, end: SimTime) -> SimTime {
+    let mut now = from;
     loop {
-        // Settle all work at the current instant.
-        let mut settles = 0;
-        while root.next_wake().is_some_and(|w| w <= now) {
-            crate::watchdog::observe(now);
-            root.tick(now);
-            settles += 1;
-            assert!(
-                settles < SETTLE_LIMIT,
-                "livelock at {now}: component keeps requesting work"
-            );
-        }
-        // Advance to the next instant with work.
+        settle(root, now);
         match root.next_wake() {
             Some(w) if w <= end => now = w,
             _ => return now,
         }
     }
+}
+
+/// Run `root` from t = 0 until the clock would pass `end` or the system goes
+/// idle. Returns the time of the last processed instant.
+pub fn run_until<T: Tick>(root: &mut T, end: SimTime) -> SimTime {
+    advance(root, SimTime::ZERO, end)
 }
 
 #[cfg(test)]
@@ -117,6 +138,72 @@ mod tests {
         assert_eq!(last, SimTime::ZERO);
         assert!(p.fired.is_empty());
         assert_eq!(p.next_wake(), Some(SimTime::from_secs(5)));
+    }
+
+    /// The toy seeded with three periodic "main" fires from 1 s plus a lone
+    /// event between them.
+    fn periodic() -> Periodic {
+        let mut p = Periodic {
+            q: EventQueue::new(),
+            fired: Vec::new(),
+        };
+        p.q.push(SimTime::from_secs(1), "main");
+        p.q.push(SimTime::from_millis(2_500), "lone");
+        p
+    }
+
+    proptest::proptest! {
+        /// Advancing to arbitrary targets in steps, settling at each target
+        /// as `Controller::advance_to` does, fires the same `(time, tag)`
+        /// sequence as one `run_until`.
+        #[test]
+        fn stepped_advance_matches_one_run(
+            steps in proptest::prop::collection::vec(0u64..1_500_000, 0..12),
+        ) {
+            let end = SimTime::from_secs(10);
+            let mut whole = periodic();
+            run_until(&mut whole, end);
+
+            let mut stepped = periodic();
+            let mut now = SimTime::ZERO;
+            for step in steps {
+                let target = (now + SimDuration::from_micros(step)).min(end);
+                advance(&mut stepped, now, target);
+                now = target;
+                settle(&mut stepped, now);
+            }
+            advance(&mut stepped, now, end);
+            proptest::prop_assert_eq!(&stepped.fired, &whole.fired);
+        }
+    }
+
+    /// Always has work at the current instant and never makes progress.
+    struct Stuck;
+
+    impl Tick for Stuck {
+        fn tick(&mut self, _now: SimTime) {}
+        fn next_wake(&self) -> Option<SimTime> {
+            Some(SimTime::ZERO)
+        }
+        fn wake_report(&self) -> String {
+            "stuck component report".into()
+        }
+    }
+
+    #[test]
+    fn settle_limit_panics_with_the_wake_report() {
+        let err = std::panic::catch_unwind(|| run_until(&mut Stuck, SimTime::from_secs(1)))
+            .expect_err("a component that always wakes at now must livelock");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("livelock at"), "{msg}");
+        assert!(msg.contains("stuck component report"), "{msg}");
+    }
+
+    #[test]
+    fn default_wake_report_names_the_next_wake() {
+        assert_eq!(periodic().wake_report(), "next wake Some(SimTime(1000000))");
     }
 
     #[test]

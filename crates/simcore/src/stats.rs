@@ -4,8 +4,6 @@
 //! (Figs. 14 and 17), and throughput time series (Fig. 18). These small
 //! containers compute exactly those summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics over a set of f64 samples.
 ///
 /// # Empty input
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// std_dev, min, max, median — equal to `0.0`. Callers must branch on
 /// `n == 0` before interpreting the other fields; a zero min/max of an
 /// empty set is a placeholder, not an observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,
@@ -202,7 +200,7 @@ pub fn midranks(samples: &[f64]) -> Vec<f64> {
 }
 
 /// An empirical CDF: sorted samples plus cumulative fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     /// Sorted sample values.
     pub values: Vec<f64>,
@@ -252,7 +250,7 @@ impl Cdf {
 }
 
 /// Fixed-interval time series accumulator (e.g. per-second throughput).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinSeries {
     /// Width of each bin in seconds.
     pub bin_secs: f64,

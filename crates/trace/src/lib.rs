@@ -21,8 +21,8 @@
 //! accessor refuses to serve them, so an analyzer cannot silently read what
 //! a real deployment would not have.
 //!
-//! Everything here is hand-rolled little-endian binary (the vendored serde
-//! shim cannot serialize — see `vendor/README.md`) and byte-deterministic:
+//! Everything here is hand-rolled little-endian binary (the workspace has no
+//! serialization dependency) and byte-deterministic:
 //! encoding the same value always produces the same bytes, which is what
 //! makes content-addressed caching and byte-identical re-analysis possible.
 

@@ -239,10 +239,15 @@ fn bench_ui_parse(c: &mut Criterion) {
             .push(View::new("TextView", &format!("item{i}")).with_text("hello"));
     }
     let root = View::new("LinearLayout", "root").with_child(feed);
-    let ui = UiTree::new(root, DetRng::seed_from_u64(4));
+    let mut ui = UiTree::new(root, DetRng::seed_from_u64(4));
     let mut g = c.benchmark_group("device");
-    g.bench_function("ui_snapshot_100_items", |b| {
-        b.iter(|| ui.snapshot().count())
+    // The controller's read path: a shared snapshot plus the view count
+    // that prices the parse.
+    g.bench_function("ui_observe_100_items", |b| {
+        b.iter(|| {
+            let (view, rev) = ui.observe(SimTime::ZERO);
+            (view, rev, ui.view_count(SimTime::ZERO))
+        })
     });
     g.finish();
 }

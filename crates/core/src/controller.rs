@@ -17,6 +17,7 @@ use device::world::World;
 use device::UiEvent;
 use simcore::{SimDuration, SimTime, Tick};
 use std::fmt;
+use std::sync::Arc;
 
 /// A structured failure from a measured wait: instead of silently returning
 /// a timed-out measurement, the controller diagnoses *why* the wait did not
@@ -244,9 +245,9 @@ impl Controller {
         self.advance_to(self.now);
     }
 
-    /// One parse pass: returns the snapshot (taken at pass start) and
-    /// advances time by the parse cost.
-    pub fn parse_once(&mut self) -> View {
+    /// One parse pass: returns the shared snapshot (taken at pass start)
+    /// and advances time by the parse cost.
+    pub fn parse_once(&mut self) -> Arc<View> {
         let (snapshot, cost) = self.world.phone.parse_ui(self.now);
         self.advance_to(self.now + cost);
         snapshot

@@ -16,6 +16,7 @@ use netstack::pcap::{Capture, Direction};
 use netstack::{Host, IpAddr, IpPacket, SocketAddr, TcpConfig};
 use radio::bearer::CellBearer;
 use simcore::{earlier, DetRng, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A UI interaction the controller can inject.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -282,12 +283,15 @@ impl Phone {
 
     /// Parse the UI layout tree (controller's `see`/`wait` component).
     /// Returns a snapshot plus the CPU time the parse consumed — the
-    /// `t_parsing` of Fig. 4. During an injected UI freeze the snapshot is
-    /// the stale pre-freeze tree, exactly what InstrumentationTestCase
-    /// would read from a wedged UI thread.
-    pub fn parse_ui(&mut self, now: SimTime) -> (View, SimDuration) {
+    /// `t_parsing` of Fig. 4, which grows with the number of views. The
+    /// snapshot is shared with the live tree, which copies itself on the
+    /// next mutation while the snapshot is held (copy-on-write). During an
+    /// injected UI freeze the snapshot is the stale pre-freeze tree,
+    /// exactly what InstrumentationTestCase would read from a wedged UI
+    /// thread.
+    pub fn parse_ui(&mut self, now: SimTime) -> (Arc<View>, SimDuration) {
         let (view, _) = self.ui.observe(now);
-        let views = view.count() as u64;
+        let views = self.ui.view_count(now) as u64;
         let mean = self.parse_base + self.parse_per_view * views;
         let cost = self.rng.jittered(mean, 0.25);
         self.cpu.controller_busy += cost.mul_f64(self.parse_cpu_fraction);
@@ -298,7 +302,7 @@ impl Phone {
     /// controller's UI watchdog compares successive values to detect a
     /// frozen layout tree.
     pub fn ui_revision(&mut self, now: SimTime) -> u64 {
-        self.ui.observe(now).1
+        self.ui.revision(now)
     }
 
     /// Advance the device at `now`.

@@ -11,8 +11,16 @@
 //! moment the change reaches the screen (`t_screen = t_ui + draw delay`,
 //! what the user sees, which the paper ground-truths with a 60 fps camera).
 //! Every mutation here logs both: the layout change is immediately visible
-//! to [`UiTree::snapshot`], and a [`ScreenEvent`] with the draw-completed
+//! to [`UiTree::observe`], and a [`ScreenEvent`] with the draw-completed
 //! time lands in the camera log.
+//!
+//! The tree is held behind an [`Arc`], so a parse pass shares it instead of
+//! copying it: [`UiTree::observe`] hands out the current root, and
+//! [`UiTree::mutate`] copies it (copy-on-write) only while such a snapshot
+//! is still alive. The observable revision and view count are read without
+//! touching the tree at all.
+
+use std::sync::Arc;
 
 use simcore::{DetRng, RecordLog, SimDuration, SimTime};
 
@@ -173,7 +181,7 @@ pub struct ScreenEvent {
 
 /// The live layout tree plus the draw-delay model and camera log.
 pub struct UiTree {
-    root: View,
+    root: Arc<View>,
     rng: DetRng,
     /// Mean UI drawing delay between a layout change and pixels on screen.
     pub draw_delay: SimDuration,
@@ -196,14 +204,18 @@ pub struct UiTree {
     /// While a freeze is active: `(until, tree-at-freeze-start,
     /// revision-at-freeze-start)` — what an observer sees instead of the
     /// live tree.
-    frozen: Option<(SimTime, View, u64)>,
+    frozen: Option<(SimTime, Arc<View>, u64)>,
+    /// `(revision, view count)` of the last tree counted. Every mutation
+    /// bumps the revision, and a frozen tree is the tree at its pinned
+    /// revision, so the revision alone identifies the observable tree.
+    counted: Option<(u64, usize)>,
 }
 
 impl UiTree {
     /// New tree rooted at `root`.
     pub fn new(root: View, rng: DetRng) -> UiTree {
         UiTree {
-            root,
+            root: Arc::new(root),
             rng,
             draw_delay: SimDuration::from_millis(14),
             draw_jitter: 0.30,
@@ -213,6 +225,7 @@ impl UiTree {
             freezes: Vec::new(),
             slow_draws: Vec::new(),
             frozen: None,
+            counted: None,
         }
     }
 
@@ -251,19 +264,48 @@ impl UiTree {
         }
         if self.frozen.is_none() {
             if let Some(until) = self.freeze_until(now) {
-                self.frozen = Some((until, self.root.clone(), self.revision));
+                self.frozen = Some((until, Arc::clone(&self.root), self.revision));
             }
         }
     }
 
-    /// What an instrumentation reader sees at `now`: a deep copy of the
-    /// layout tree plus its revision. During a freeze window both are
-    /// pinned to their values at freeze start.
-    pub fn observe(&mut self, now: SimTime) -> (View, u64) {
-        self.sync_freeze(now);
+    /// The tree and revision an observer sees, once [`UiTree::sync_freeze`]
+    /// has run.
+    fn visible(&self) -> (&Arc<View>, u64) {
         match &self.frozen {
-            Some((_, view, rev)) => (view.clone(), *rev),
-            None => (self.root.clone(), self.revision),
+            Some((_, view, rev)) => (view, *rev),
+            None => (&self.root, self.revision),
+        }
+    }
+
+    /// What an instrumentation reader sees at `now`: a shared snapshot of
+    /// the layout tree plus its revision. The snapshot never changes; a
+    /// later mutation copies the live tree instead (copy-on-write). During
+    /// a freeze window both are pinned to their values at freeze start.
+    pub fn observe(&mut self, now: SimTime) -> (Arc<View>, u64) {
+        self.sync_freeze(now);
+        let (view, rev) = self.visible();
+        (Arc::clone(view), rev)
+    }
+
+    /// The revision [`UiTree::observe`] would return at `now`, without
+    /// touching the tree.
+    pub fn revision(&mut self, now: SimTime) -> u64 {
+        self.sync_freeze(now);
+        self.visible().1
+    }
+
+    /// Number of views in the tree [`UiTree::observe`] would return at
+    /// `now`, counted once per observable revision.
+    pub fn view_count(&mut self, now: SimTime) -> usize {
+        let rev = self.revision(now);
+        match self.counted {
+            Some((counted_rev, views)) if counted_rev == rev => views,
+            _ => {
+                let views = self.visible().0.count();
+                self.counted = Some((rev, views));
+                views
+            }
         }
     }
 
@@ -273,18 +315,13 @@ impl UiTree {
         &self.root
     }
 
-    /// Deep copy of the current tree (what a parse pass returns).
-    pub fn snapshot(&self) -> View {
-        self.root.clone()
-    }
-
     /// Apply a labelled mutation at `now`. The layout changes immediately;
     /// the screen catches up one draw delay later, which the camera records.
     pub fn mutate(&mut self, now: SimTime, label: &str, f: impl FnOnce(&mut View)) {
         // Capture the pre-mutation tree if a freeze window covers `now`:
         // observers keep seeing that snapshot until the window closes.
         self.sync_freeze(now);
-        f(&mut self.root);
+        f(Arc::make_mut(&mut self.root));
         self.revision += 1;
         let mut delay = self.rng.jittered(self.draw_delay, self.draw_jitter);
         if let Some(factor) = self
@@ -434,10 +471,48 @@ mod tests {
     #[test]
     fn snapshot_is_independent() {
         let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(4));
-        let snap = ui.snapshot();
+        let (snap, rev) = ui.observe(SimTime::ZERO);
         ui.set_text(SimTime::ZERO, "composer", "changed");
+        ui.prepend_item(SimTime::ZERO, "news_feed", "TextView", "newer");
+        // The held snapshot keeps its content; the live tree moved on.
         assert_eq!(snap.find("composer").unwrap().text, "");
+        assert_eq!(snap.count(), 6);
         assert_eq!(ui.root().find("composer").unwrap().text, "changed");
+        assert_eq!(ui.root().count(), 7);
+        let (live, live_rev) = ui.observe(SimTime::ZERO);
+        assert_eq!(live_rev, rev + 2);
+        assert_eq!(live.find("news_feed").unwrap().children[0].text, "newer");
+    }
+
+    #[test]
+    fn observe_shares_until_a_mutation() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(8));
+        let (a, _) = ui.observe(SimTime::ZERO);
+        let (b, _) = ui.observe(SimTime::ZERO);
+        // Two reads with no mutation in between share one tree.
+        assert!(Arc::ptr_eq(&a, &b));
+        ui.set_text(SimTime::ZERO, "composer", "x");
+        let (c, _) = ui.observe(SimTime::ZERO);
+        assert!(!Arc::ptr_eq(&a, &c));
+        // With no snapshot alive, a mutation edits the tree in place.
+        drop((a, b, c));
+        let before = Arc::as_ptr(&ui.root);
+        ui.set_text(SimTime::ZERO, "composer", "y");
+        assert_eq!(Arc::as_ptr(&ui.root), before);
+    }
+
+    #[test]
+    fn view_count_follows_the_observable_tree() {
+        let mut ui = UiTree::new(tree(), DetRng::seed_from_u64(9));
+        ui.add_freeze(SimTime::from_secs(1), SimTime::from_secs(2));
+        assert_eq!(ui.view_count(SimTime::ZERO), 6);
+        ui.prepend_item(SimTime::ZERO, "news_feed", "TextView", "a");
+        assert_eq!(ui.view_count(SimTime::ZERO), 7);
+        // Inside the freeze the count is the frozen tree's.
+        ui.prepend_item(SimTime::from_millis(1500), "news_feed", "TextView", "bb");
+        assert_eq!(ui.view_count(SimTime::from_millis(1500)), 7);
+        assert_eq!(ui.root().count(), 8);
+        assert_eq!(ui.view_count(SimTime::from_secs(2)), 8);
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Property-based tests for the UI layout tree.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use device::ui::{UiTree, View, ViewSignature};
+use device::{App, AppCx, NetAttachment, Phone, UiEvent};
+use netstack::dns::DNS_PORT;
+use netstack::{IpAddr, SocketAddr};
 use proptest::prelude::*;
 use simcore::{DetRng, SimTime};
 
@@ -85,7 +91,7 @@ proptest! {
         }
     }
 
-    /// Snapshots never alias the live tree.
+    /// Snapshots never see later mutations of the live tree.
     #[test]
     fn snapshots_are_deep_copies(texts in prop::collection::vec("[a-z]{1,8}", 1..10)) {
         let root = View::new("FrameLayout", "root")
@@ -93,11 +99,168 @@ proptest! {
         let mut ui = UiTree::new(root, DetRng::seed_from_u64(4));
         let mut snaps = Vec::new();
         for (i, text) in texts.iter().enumerate() {
-            ui.set_text(SimTime::from_millis(i as u64), "label", text);
-            snaps.push(ui.snapshot());
+            let now = SimTime::from_millis(i as u64);
+            ui.set_text(now, "label", text);
+            snaps.push(ui.observe(now).0);
         }
         for (snap, text) in snaps.iter().zip(texts.iter()) {
             prop_assert_eq!(&snap.find("label").unwrap().text, text);
         }
     }
+
+    /// Over random mutate/observe schedules with freeze windows, the
+    /// tree-free reads agree with `observe`, the observable tree is the
+    /// one the live tree had at the observable revision, and held
+    /// snapshots never change.
+    #[test]
+    fn shared_reads_agree_with_observe(
+        freezes in prop::collection::vec((0u64..4_000, 1u64..1_000), 0..4),
+        steps in prop::collection::vec((0u64..100, arb_step()), 1..80),
+    ) {
+        let root = View::new("FrameLayout", "root")
+            .with_child(View::new("TextView", "label"))
+            .with_child(View::new("android.widget.ListView", "feed"));
+        let mut ui = UiTree::new(root.clone(), DetRng::seed_from_u64(5));
+        for (from, len) in &freezes {
+            ui.add_freeze(SimTime::from_millis(*from), SimTime::from_millis(from + len));
+        }
+        // The live tree after each revision, kept by the test itself.
+        let mut shadow = root;
+        let mut history = HashMap::from([(0u64, shadow.clone())]);
+        let mut held: Vec<(Arc<View>, View)> = Vec::new();
+        let mut t_ms = 0;
+        for (dt, step) in &steps {
+            t_ms += dt;
+            let now = SimTime::from_millis(t_ms);
+            match step {
+                Step::Hold => {
+                    let (snap, _) = ui.observe(now);
+                    let copy = View::clone(&snap);
+                    held.push((snap, copy));
+                }
+                Step::Release => {
+                    if !held.is_empty() {
+                        held.remove(0);
+                    }
+                }
+                _ => {
+                    ui.mutate(now, "step", |r| step.apply(r));
+                    step.apply(&mut shadow);
+                    history.insert(history.len() as u64, shadow.clone());
+                }
+            }
+            let (seen, rev) = ui.observe(now);
+            prop_assert_eq!(ui.revision(now), rev);
+            prop_assert_eq!(ui.view_count(now), seen.count());
+            prop_assert_eq!(&*seen, &history[&rev]);
+            prop_assert_eq!(ui.root(), &shadow);
+            for (snap, copy) in &held {
+                prop_assert_eq!(&**snap, copy);
+            }
+        }
+    }
+}
+
+/// One step of a random UI schedule.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Set the label's text.
+    Text(String),
+    /// Prepend an item to the feed.
+    Prepend(String),
+    /// Empty the feed.
+    Clear,
+    /// Take a snapshot and keep it alive.
+    Hold,
+    /// Drop the oldest held snapshot.
+    Release,
+}
+
+impl Step {
+    /// Apply a mutating step to a tree.
+    fn apply(&self, root: &mut View) {
+        match self {
+            Step::Text(text) => root.find_mut("label").unwrap().text = text.clone(),
+            Step::Prepend(text) => root
+                .find_mut("feed")
+                .unwrap()
+                .children
+                .insert(0, View::new("TextView", "item").with_text(text)),
+            Step::Clear => root.find_mut("feed").unwrap().children.clear(),
+            Step::Hold | Step::Release => {}
+        }
+    }
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u32..8, "[a-z]{1,6}").prop_map(|(kind, text)| match kind {
+        0 => Step::Text(text),
+        1..=3 => Step::Prepend(text),
+        4 => Step::Clear,
+        5 | 6 => Step::Hold,
+        _ => Step::Release,
+    })
+}
+
+/// An app that does nothing: the test drives the layout tree directly.
+struct Idle;
+
+impl App for Idle {
+    fn name(&self) -> &'static str {
+        "idle"
+    }
+    fn start(&mut self, _cx: &mut AppCx) {}
+    fn on_ui_event(&mut self, _ev: &UiEvent, _cx: &mut AppCx) {}
+    fn tick(&mut self, _cx: &mut AppCx) {}
+    fn next_wake(&self) -> Option<SimTime> {
+        None
+    }
+}
+
+fn idle_phone() -> Phone {
+    let mut rng = DetRng::seed_from_u64(6);
+    Phone::new(
+        IpAddr::new(10, 0, 0, 2),
+        SocketAddr::new(IpAddr::new(8, 8, 8, 8), DNS_PORT),
+        NetAttachment::wifi(&mut rng),
+        Box::new(Idle),
+        rng.fork(2),
+    )
+}
+
+/// Parse `phone` at `now`, check the parse cost against `twin` (a phone
+/// with the same seed) given a fresh tree that is a plain copy of the
+/// parsed one, and return the parsed view count. Equal costs mean the
+/// cost followed the parsed tree's view count.
+fn parsed_views(phone: &mut Phone, twin: &mut Phone, now: SimTime) -> usize {
+    let (snap, cost) = phone.parse_ui(now);
+    twin.ui = UiTree::new(View::clone(&snap), DetRng::seed_from_u64(7));
+    let (_, twin_cost) = twin.parse_ui(now);
+    assert_eq!(cost, twin_cost, "parse cost at {now}");
+    snap.count()
+}
+
+#[test]
+fn parse_cost_follows_the_observable_view_count() {
+    let mut phone = idle_phone();
+    let mut twin = idle_phone();
+    let ms = SimTime::from_millis;
+    assert_eq!(parsed_views(&mut phone, &mut twin, ms(0)), 1);
+    for (i, text) in ["a", "bb", "ccc"].into_iter().enumerate() {
+        phone
+            .ui
+            .prepend_item(ms(10 + i as u64), "root", "TextView", text);
+    }
+    assert_eq!(parsed_views(&mut phone, &mut twin, ms(20)), 4);
+    // A crash clears the tree.
+    phone.force_relaunch(ms(30), simcore::SimDuration::from_secs(1));
+    assert_eq!(parsed_views(&mut phone, &mut twin, ms(40)), 1);
+    phone.ui.prepend_item(ms(50), "root", "TextView", "d");
+    // During a freeze the cost is the frozen tree's.
+    phone.ui.add_freeze(ms(100), ms(200));
+    phone.ui.prepend_item(ms(120), "root", "TextView", "e");
+    phone.ui.prepend_item(ms(130), "root", "TextView", "f");
+    assert_eq!(phone.ui.root().count(), 4);
+    assert_eq!(parsed_views(&mut phone, &mut twin, ms(150)), 2);
+    assert_eq!(parsed_views(&mut phone, &mut twin, ms(200)), 4);
 }

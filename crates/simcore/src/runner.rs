@@ -44,11 +44,16 @@ pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 const SETTLE_LIMIT: u32 = 100_000;
 
 /// Tick `root` at `now` until it reports no more work due at or before
-/// `now`. Panics with the root's [`Tick::wake_report`] if that takes
+/// `now`, and return its next wake (later than `now`, or `None` when idle).
+/// Panics with the root's [`Tick::wake_report`] if that takes
 /// `SETTLE_LIMIT` ticks.
-pub fn settle<T: Tick>(root: &mut T, now: SimTime) {
+pub fn settle<T: Tick>(root: &mut T, now: SimTime) -> Option<SimTime> {
     let mut settles = 0;
-    while root.next_wake().is_some_and(|w| w <= now) {
+    loop {
+        match root.next_wake() {
+            Some(w) if w <= now => {}
+            next => return next,
+        }
         crate::watchdog::observe(now);
         root.tick(now);
         settles += 1;
@@ -66,8 +71,7 @@ pub fn settle<T: Tick>(root: &mut T, now: SimTime) {
 pub fn advance<T: Tick>(root: &mut T, from: SimTime, end: SimTime) -> SimTime {
     let mut now = from;
     loop {
-        settle(root, now);
-        match root.next_wake() {
+        match settle(root, now) {
             Some(w) if w <= end => now = w,
             _ => return now,
         }
@@ -174,6 +178,7 @@ mod tests {
             }
             advance(&mut stepped, now, end);
             proptest::prop_assert_eq!(&stepped.fired, &whole.fired);
+            proptest::prop_assert_eq!(settle(&mut stepped, end), stepped.next_wake());
         }
     }
 

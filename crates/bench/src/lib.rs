@@ -8,5 +8,6 @@
 //!   corresponding §7 experiment at reduced scale. These double as
 //!   regression guards: a bench that suddenly runs much longer usually
 //!   means a simulation livelock or a blown-up event cascade.
+//! * `campaign` — the quick Fig. 17 campaign timed at 1, 2 and 4 workers.
 //!
-//! Run with `cargo bench --workspace`.
+//! Run with `cargo bench --workspace`; the end-to-end benchmark is `qoebench/`.

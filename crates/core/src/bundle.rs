@@ -183,15 +183,6 @@ impl CollectionSet {
         }
     }
 
-    /// The sole session of a single-session set.
-    ///
-    /// # Panics
-    /// If the set does not hold exactly one session.
-    pub fn into_single(mut self) -> Collection {
-        assert_eq!(self.items.len(), 1, "expected a single-session set");
-        self.items.pop().expect("one item").1
-    }
-
     /// The session named `name`.
     pub fn get(&self, name: &str) -> Option<&Collection> {
         self.items.iter().find(|(n, _)| n == name).map(|(_, c)| c)

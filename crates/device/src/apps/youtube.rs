@@ -147,13 +147,6 @@ impl YouTubeApp {
         self.next_tag
     }
 
-    /// Playback phase for white-box assertions in tests.
-    pub fn is_finished(&self) -> bool {
-        self.player
-            .as_ref()
-            .is_some_and(|p| p.phase == Phase::Finished)
-    }
-
     fn start_playback(&mut self, name: &str, cx: &mut AppCx) {
         let Some(spec) = self.cfg.videos.iter().find(|v| v.name == name).cloned() else {
             return;

@@ -51,17 +51,6 @@ pub struct CpuMeter {
     pub controller_busy: SimDuration,
 }
 
-impl CpuMeter {
-    /// Controller overhead ratio: controller CPU over app CPU.
-    pub fn overhead_ratio(&self) -> f64 {
-        let app = self.app_busy.as_secs_f64();
-        if app == 0.0 {
-            return 0.0;
-        }
-        self.controller_busy.as_secs_f64() / app
-    }
-}
-
 /// Context handed to apps: everything on the device they may touch.
 pub struct AppCx<'a> {
     /// Current simulated time.

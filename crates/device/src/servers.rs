@@ -22,6 +22,9 @@ pub trait ServerApp {
     }
 }
 
+/// Jitter fraction of [`RpcServer`]'s per-request processing delay.
+const DELAY_JITTER: f64 = 0.3;
+
 /// Generic request/response server: listens on the given ports, accepts
 /// connections, and answers request markers after a configurable
 /// processing delay (origin/application time — this is the "server
@@ -31,7 +34,6 @@ pub struct RpcServer {
     conns: Vec<SockId>,
     listening: bool,
     delay: SimDuration,
-    delay_jitter: f64,
     pending: simcore::EventQueue<(SockId, u16, u64)>,
 }
 
@@ -43,7 +45,6 @@ impl RpcServer {
             conns: Vec::new(),
             listening: false,
             delay: SimDuration::ZERO,
-            delay_jitter: 0.3,
             pending: simcore::EventQueue::new(),
         }
     }
@@ -51,12 +52,6 @@ impl RpcServer {
     /// Builder: add a mean per-request processing delay.
     pub fn with_delay(mut self, delay: SimDuration) -> RpcServer {
         self.delay = delay;
-        self
-    }
-
-    /// Builder: set the jitter fraction of the processing delay.
-    pub fn with_jitter(mut self, jitter: f64) -> RpcServer {
-        self.delay_jitter = jitter;
         self
     }
 
@@ -83,7 +78,7 @@ impl RpcServer {
                         host.sock_mut(s)
                             .send_marked(resp_bytes.max(1), proto::resp(tag));
                     } else {
-                        let d = rng.jittered(self.delay, self.delay_jitter);
+                        let d = rng.jittered(self.delay, DELAY_JITTER);
                         self.pending.push(now + d, (s, tag, resp_bytes));
                     }
                 }

@@ -222,11 +222,6 @@ impl Host {
         self.egress.pop_front()
     }
 
-    /// True when packets are waiting in the egress queue.
-    pub fn has_egress(&self) -> bool {
-        !self.egress.is_empty()
-    }
-
     /// Earliest instant this host needs service.
     pub fn next_wake(&self) -> Option<SimTime> {
         let mut wake = if self.egress.is_empty() {

@@ -399,21 +399,3 @@ pub fn staged(reps: usize, seed: u64) -> harness::StagedCampaign<Collection, Tab
     );
     c
 }
-
-/// The §7.1 evaluation as a plain (fused record+analyze) campaign.
-pub fn campaign(reps: usize, seed: u64) -> harness::Campaign<Table3Part> {
-    staged(reps, seed).into_campaign(&harness::StageMode::Inline)
-}
-
-/// Run the full §7.1 evaluation: Fig. 6's five bars plus Table 3.
-pub fn run(reps: usize, seed: u64) -> (Vec<MetricAccuracy>, ToolOverhead) {
-    let mut bars = Vec::new();
-    let mut overhead = None;
-    for part in campaign(reps, seed).run(1).into_outputs() {
-        match part {
-            Table3Part::Bars(b) => bars.extend(b),
-            Table3Part::Overhead(o) => overhead = Some(o),
-        }
-    }
-    (bars, overhead.expect("campaign includes the overhead job"))
-}

@@ -4,10 +4,7 @@
 //! repro [experiment] [--quick] [--jobs N] [--json DIR] [--cache DIR]
 //! repro record [experiment] --out DIR [--quick] [--jobs N] [--json DIR]
 //! repro analyze DIR [experiment] [--quick] [--jobs N] [--json DIR]
-//!
-//! experiments:
-//!   table1 table2 table3 fig6 fig7 fig8 fig10 fig11 fig12 fig13
-//!   fig14 fig15 fig16 fig17 fig18 fig19 fig20 exp76 exp77 ablation chaos all
+//! repro list        # every experiment id with a one-line description
 //! ```
 //!
 //! Every experiment runs as a `harness` campaign: a grid of independent
@@ -75,23 +72,13 @@ usage: repro [experiment] [--quick] [--jobs N] [--json DIR] [--cache DIR]
        repro record [experiment] --out DIR [--quick] [--jobs N] [--json DIR]
        repro analyze DIR [experiment] [--quick] [--jobs N] [--json DIR]
 
-experiments:
-  table1 table2 table3 fig6 fig7 fig8 fig10 fig11 fig12 fig13
-  fig14 fig15 fig16 fig17 fig18 fig19 fig20 exp76 exp77 ablation
-  chaos monitor all          (`repro list` prints one-line descriptions)
+experiments: `repro list` prints every id with a one-line description
 
 subcommands:
   record       simulate and persist each campaign job's trace bundle under
                --out DIR; no analysis runs
   analyze      load the bundles under DIR and re-run only the analysis;
                output matches the inline run byte for byte
-
-other:
-  list         print every experiment id with a one-line description
-  bench        hot-path performance snapshot; writes BENCH_pr3.json under
-               the --json directory (default: results/)
-  monitor      longitudinal monitoring: re-measure a scenario grid over
-               epochs, detect QoE regressions, attribute them to a layer
 
 flags:
   --quick      reduced repetition counts (CI scale)
@@ -393,17 +380,6 @@ fn run(name: &str, opts: &Opts) -> usize {
             } else {
                 eprintln!("repro: monitor history incomplete; skipping detection");
             }
-        }
-        "bench" => {
-            if !matches!(opts.mode, RunMode::Inline) {
-                usage_error("bench does not support record/analyze/cache (it must run inline)");
-            }
-            header("bench", "Hot-path performance snapshot (BENCH_pr3.json)");
-            let out_dir = opts
-                .json
-                .clone()
-                .unwrap_or_else(|| PathBuf::from("results"));
-            failed += repro::bench::run_bench(opts.jobs, SEED, &out_dir);
         }
         "table1" => {
             // Static tables have nothing to record; in the staged modes they

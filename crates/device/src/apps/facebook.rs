@@ -414,4 +414,15 @@ impl App for FacebookApp {
         // a self-scheduled wake.
         self.tasks.next_at()
     }
+
+    fn reset(&mut self) {
+        // The push channel and in-flight RPCs held sockets of the dead
+        // process; `start` reopens the channel on the fresh stack.
+        self.tasks = EventQueue::new();
+        self.rpcs.clear();
+        self.push = None;
+        self.composer_text.clear();
+        self.next_tag = 1;
+        self.feed_updating = false;
+    }
 }

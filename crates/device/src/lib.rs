@@ -28,8 +28,6 @@ pub mod world;
 
 pub use phone::{App, AppCx, CpuMeter, NetAttachment, Phone, UiEvent};
 pub use rpc::{Rpc, RpcState};
-pub use servers::{
-    FacebookOrigin, Internet, PushSchedule, PushServer, RpcServer, ServerApp, ServerNode,
-};
+pub use servers::{FacebookOrigin, Internet, PushSchedule, PushServer, RpcServer, ServerApp};
 pub use ui::{ScreenEvent, UiTree, View, ViewSignature};
 pub use world::World;

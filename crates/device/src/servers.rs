@@ -8,12 +8,22 @@
 //! device B in §7.3.
 
 use crate::proto::{self, Kind};
+use crate::world::Visit;
 use netstack::dns::DnsServer;
 use netstack::{Host, IpAddr, IpPacket, SockId, SocketAddr, TcpConfig};
 use simcore::{earlier, DetRng, SimDuration, SimTime};
 
 /// Server-side application logic attached to a host.
+///
+/// Wake contract: ticking a server that is neither due (its
+/// [`ServerApp::next_wake`] and its host's [`Host::next_wake`] both lie
+/// after `now`) nor handed a packet since its last tick is a no-op — no
+/// egress, no state change, no draw from the shared `rng`. [`Internet`]
+/// relies on this to visit only the nodes with work.
 pub trait ServerApp {
+    /// Ports the server accepts connections on. [`Internet::add_server`]
+    /// listens on them when it registers the server.
+    fn ports(&self) -> &[u16];
     /// Drive the server at `now`.
     fn tick(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng);
     /// Earliest self-scheduled work (push timers), if any.
@@ -32,7 +42,6 @@ const DELAY_JITTER: f64 = 0.3;
 pub struct RpcServer {
     ports: Vec<u16>,
     conns: Vec<SockId>,
-    listening: bool,
     delay: SimDuration,
     pending: simcore::EventQueue<(SockId, u16, u64)>,
 }
@@ -43,7 +52,6 @@ impl RpcServer {
         RpcServer {
             ports: ports.to_vec(),
             conns: Vec::new(),
-            listening: false,
             delay: SimDuration::ZERO,
             pending: simcore::EventQueue::new(),
         }
@@ -56,13 +64,7 @@ impl RpcServer {
     }
 
     fn accept_all(&mut self, host: &mut Host) {
-        if !self.listening {
-            for p in &self.ports {
-                host.listen(*p);
-            }
-            self.listening = true;
-        }
-        for p in self.ports.clone() {
+        for &p in &self.ports {
             while let Some(s) = host.accept(p) {
                 self.conns.push(s);
             }
@@ -92,6 +94,10 @@ impl RpcServer {
 }
 
 impl ServerApp for RpcServer {
+    fn ports(&self) -> &[u16] {
+        &self.ports
+    }
+
     fn tick(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng) {
         self.accept_all(host);
         self.drive(host, now, rng);
@@ -141,6 +147,10 @@ impl PushServer {
 }
 
 impl ServerApp for PushServer {
+    fn ports(&self) -> &[u16] {
+        self.rpc.ports()
+    }
+
     fn tick(&mut self, host: &mut Host, now: SimTime, _rng: &mut DetRng) {
         self.rpc.accept_all(host);
         // Scan for subscriptions; answer plain requests.
@@ -228,6 +238,10 @@ impl FacebookOrigin {
 }
 
 impl ServerApp for FacebookOrigin {
+    fn ports(&self) -> &[u16] {
+        self.rpc.ports()
+    }
+
     fn tick(&mut self, host: &mut Host, now: SimTime, rng: &mut DetRng) {
         self.rpc.accept_all(host);
         for &s in &self.rpc.conns {
@@ -267,23 +281,40 @@ impl ServerApp for FacebookOrigin {
     }
 }
 
-/// One origin: a host plus its application.
-pub struct ServerNode {
-    /// Hostname registered in DNS.
-    pub name: String,
-    /// The server's network stack.
-    pub host: Host,
-    /// Its application logic.
-    pub app: Box<dyn ServerApp>,
+/// One origin: a host plus its application, with its cached wake.
+struct ServerNode {
+    host: Host,
+    app: Box<dyn ServerApp>,
+    /// `earlier(host.next_wake(), app.next_wake())` as of the node's last
+    /// tick or egress drain, or the instant a packet was last handed in.
+    wake: Option<SimTime>,
+    /// Injected stall windows `[from, until)`: packets to this node are
+    /// dropped inside them.
+    stalls: Vec<(SimTime, SimTime)>,
+}
+
+impl ServerNode {
+    fn due(&self, now: SimTime) -> bool {
+        self.wake.is_some_and(|w| w <= now)
+    }
+
+    fn refresh(&mut self) {
+        self.wake = earlier(self.host.next_wake(), self.app.next_wake());
+    }
 }
 
 /// The public internet: resolver plus origin servers, with routing by
 /// destination address.
+///
+/// Wake-indexed: each node caches its next wake, a routed packet marks its
+/// node due, and [`Internet::tick`] visits only due nodes (in registration
+/// order, so draws from the shared `rng` keep their order). By the
+/// [`ServerApp`] and [`Host::poll`] contracts the skipped visits were
+/// no-ops.
 pub struct Internet {
     /// The DNS resolver.
     pub dns: DnsServer,
-    /// Origin servers.
-    pub nodes: Vec<ServerNode>,
+    nodes: Vec<ServerNode>,
     rng: DetRng,
     dns_egress: Vec<IpPacket>,
     next_dns_id: u64,
@@ -291,10 +322,6 @@ pub struct Internet {
     /// inside a window are dropped (resolver unreachable; the stub
     /// resolver's retry handles recovery).
     dns_outages: Vec<(SimTime, SimTime)>,
-    /// Injected per-server stall windows: `(server_name, from, until)` —
-    /// packets to that server are dropped inside the window, so
-    /// established connections stall until TCP retransmits past it.
-    server_stalls: Vec<(String, SimTime, SimTime)>,
     /// Queries dropped by DNS outages.
     pub dns_dropped: u64,
     /// Packets dropped by server stalls.
@@ -311,7 +338,6 @@ impl Internet {
             dns_egress: Vec::new(),
             next_dns_id: 0,
             dns_outages: Vec::new(),
-            server_stalls: Vec::new(),
             dns_dropped: 0,
             stall_dropped: 0,
         }
@@ -323,11 +349,17 @@ impl Internet {
         self.dns_outages.push((from, until));
     }
 
-    /// Inject a server stall: packets addressed to the server registered
-    /// as `name` are dropped in `[from, until)` (connection appears hung,
-    /// new connection attempts time out and retry).
+    /// Inject a server stall: packets addressed to the server `name`
+    /// resolves to (an alias stalls its origin) are dropped in
+    /// `[from, until)` (connection appears hung, new connection attempts
+    /// time out and retry). Panics if `name` resolves to no server.
     pub fn stall_server(&mut self, name: &str, from: SimTime, until: SimTime) {
-        self.server_stalls.push((name.to_string(), from, until));
+        let node = self
+            .dns
+            .lookup(name)
+            .and_then(|ip| self.nodes.iter_mut().find(|n| n.host.ip == ip))
+            .unwrap_or_else(|| panic!("invalid server stall: unknown server {name:?}"));
+        node.stalls.push((from, until));
     }
 
     /// Register an additional DNS name for an existing server's address.
@@ -335,14 +367,26 @@ impl Internet {
         self.dns.register(name, ip);
     }
 
-    /// Register a named server.
+    /// Register a named server, listening on the app's ports.
     pub fn add_server(&mut self, name: &str, ip: IpAddr, app: Box<dyn ServerApp>) {
         self.dns.register(name, ip);
-        self.nodes.push(ServerNode {
-            name: name.to_string(),
-            host: Host::new(ip, self.dns.addr, TcpConfig::default()),
+        let mut host = Host::new(ip, self.dns.addr, TcpConfig::default());
+        for &port in app.ports() {
+            host.listen(port);
+        }
+        let mut node = ServerNode {
+            host,
             app,
-        });
+            wake: None,
+            stalls: Vec::new(),
+        };
+        node.refresh();
+        self.nodes.push(node);
+    }
+
+    /// The origin servers' network stacks, in registration order.
+    pub fn hosts(&self) -> impl Iterator<Item = &Host> {
+        self.nodes.iter().map(|n| &n.host)
     }
 
     /// Deliver a packet arriving from an access network.
@@ -363,23 +407,28 @@ impl Internet {
             return;
         }
         if let Some(node) = self.nodes.iter_mut().find(|n| n.host.ip == pkt.dst.ip) {
-            let stalled = self
-                .server_stalls
-                .iter()
-                .any(|(name, f, u)| name == &node.name && *f <= now && now < *u);
-            if stalled {
+            if node.stalls.iter().any(|(f, u)| *f <= now && now < *u) {
                 self.stall_dropped += 1;
                 return;
             }
             node.host.on_packet(&pkt, now);
+            node.wake = Some(now);
         }
     }
 
-    /// Drive every server.
+    /// Drive every server that is due or was handed a packet.
     pub fn tick(&mut self, now: SimTime) {
+        self.visit(now, Visit::Due);
+    }
+
+    /// Drive the servers `visit` selects, in registration order.
+    pub(crate) fn visit(&mut self, now: SimTime, visit: Visit) {
         for node in &mut self.nodes {
-            node.app.tick(&mut node.host, now, &mut self.rng);
-            node.host.poll(now);
+            if visit == Visit::Every || node.due(now) {
+                node.app.tick(&mut node.host, now, &mut self.rng);
+                node.host.poll(now);
+                node.refresh();
+            }
         }
     }
 
@@ -387,25 +436,38 @@ impl Internet {
     pub fn take_egress(&mut self) -> Vec<IpPacket> {
         let mut out = core::mem::take(&mut self.dns_egress);
         for node in &mut self.nodes {
+            let drained = out.len();
             while let Some(p) = node.host.pop_egress() {
                 out.push(p);
+            }
+            if out.len() > drained {
+                node.refresh();
             }
         }
         out
     }
 
-    /// Earliest instant any server has work.
+    /// Earliest instant any server has work (from the cached node wakes).
     pub fn next_wake(&self) -> Option<SimTime> {
-        let mut wake = if self.dns_egress.is_empty() {
+        self.nodes
+            .iter()
+            .fold(self.dns_wake(), |wake, node| earlier(wake, node.wake))
+    }
+
+    /// [`Internet::next_wake`] recomputed from every host and app, ignoring
+    /// the cache.
+    pub(crate) fn scan_next_wake(&self) -> Option<SimTime> {
+        self.nodes.iter().fold(self.dns_wake(), |wake, node| {
+            earlier(earlier(wake, node.host.next_wake()), node.app.next_wake())
+        })
+    }
+
+    fn dns_wake(&self) -> Option<SimTime> {
+        if self.dns_egress.is_empty() {
             None
         } else {
             Some(SimTime::ZERO)
-        };
-        for node in &self.nodes {
-            wake = earlier(wake, node.host.next_wake());
-            wake = earlier(wake, node.app.next_wake());
         }
-        wake
     }
 }
 
@@ -437,6 +499,160 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// Pump at every wake of `client` or `net` up to `until`, so neither
+    /// is due at `until` afterwards.
+    fn advance(client: &mut Host, net: &mut Internet, until: SimTime) {
+        for _ in 0..1_000 {
+            match earlier(client.next_wake(), net.next_wake()) {
+                Some(w) if w <= until => pump(client, net, w),
+                _ => return,
+            }
+        }
+        panic!("no quiet instant before {until}");
+    }
+
+    /// Resolve `name` through `net` and open a connection to its `port`.
+    fn connect(client: &mut Host, net: &mut Internet, name: &str, port: u16) -> SockId {
+        client.resolve(name, SimTime::ZERO);
+        pump(client, net, SimTime::ZERO);
+        let ip = client.resolve(name, SimTime::ZERO).expect("resolved");
+        client.connect(SocketAddr::new(ip, port))
+    }
+
+    /// Tick the only node at `now`, which must precede its wake, with no
+    /// packet handed in, and check the wake contract: no egress, the same
+    /// wakes, and no draw from the rng stream.
+    fn assert_idle_tick_is_noop(net: &mut Internet, now: SimTime) {
+        let node = &mut net.nodes[0];
+        let (host_wake, app_wake) = (node.host.next_wake(), node.app.next_wake());
+        assert!(
+            earlier(host_wake, app_wake).is_none_or(|w| w > now),
+            "node is due at {now}"
+        );
+        let mut rng = DetRng::seed_from_u64(99);
+        let mut twin = DetRng::seed_from_u64(99);
+        node.app.tick(&mut node.host, now, &mut rng);
+        node.host.poll(now);
+        assert!(node.host.pop_egress().is_none());
+        assert_eq!(node.host.next_wake(), host_wake);
+        assert_eq!(node.app.next_wake(), app_wake);
+        assert_eq!(rng.f64(), twin.f64(), "idle tick drew from the rng");
+    }
+
+    fn client() -> Host {
+        Host::new(IpAddr::new(10, 0, 0, 1), resolver(), TcpConfig::default())
+    }
+
+    #[test]
+    fn idle_rpc_server_tick_is_noop() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(4));
+        net.add_server(
+            "web.example.com",
+            IpAddr::new(93, 184, 0, 1),
+            Box::new(RpcServer::new(&[80])),
+        );
+        let mut client = client();
+        let s = connect(&mut client, &mut net, "web.example.com", 80);
+        client.sock_mut(s).send_marked(500, proto::req(1, 20_000));
+        advance(&mut client, &mut net, SimTime::from_secs(10));
+        assert_eq!(client.sock(s).total_received(), 20_000);
+        assert_idle_tick_is_noop(&mut net, SimTime::from_secs(10));
+    }
+
+    #[test]
+    fn idle_delayed_rpc_server_tick_is_noop() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(5));
+        net.add_server(
+            "api.example.com",
+            IpAddr::new(93, 184, 0, 2),
+            Box::new(RpcServer::new(&[443]).with_delay(SimDuration::from_millis(500))),
+        );
+        let mut client = client();
+        let s = connect(&mut client, &mut net, "api.example.com", 443);
+        client.sock_mut(s).send_marked(500, proto::req(2, 8_000));
+        pump(&mut client, &mut net, SimTime::ZERO);
+        // The request is in; its answer waits out the processing delay.
+        assert!(net.nodes[0].app.next_wake().is_some());
+        assert_idle_tick_is_noop(&mut net, SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn idle_push_server_tick_is_noop() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(6));
+        let schedule = PushSchedule {
+            interval: Some(SimDuration::from_secs(60)),
+            bytes: 9_000,
+            offset: None,
+        };
+        net.add_server(
+            "push.example.com",
+            IpAddr::new(31, 13, 0, 9),
+            Box::new(PushServer::new(&[8883], schedule)),
+        );
+        let mut client = client();
+        let s = connect(&mut client, &mut net, "push.example.com", 8883);
+        client.sock_mut(s).send_marked(100, proto::subscribe(1));
+        advance(&mut client, &mut net, SimTime::from_secs(30));
+        assert_eq!(net.nodes[0].app.next_wake(), Some(SimTime::from_secs(60)));
+        assert_idle_tick_is_noop(&mut net, SimTime::from_secs(30));
+    }
+
+    #[test]
+    fn idle_facebook_origin_tick_is_noop() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(7));
+        net.add_server(
+            "graph.example.com",
+            IpAddr::new(31, 13, 64, 2),
+            Box::new(FacebookOrigin::new(9_000, SimDuration::from_millis(1_100))),
+        );
+        let mut client = client();
+        let sub = connect(&mut client, &mut net, "graph.example.com", 8883);
+        client.sock_mut(sub).send_marked(100, proto::subscribe(1));
+        let post = connect(&mut client, &mut net, "graph.example.com", 443);
+        client.sock_mut(post).send_marked(2_000, proto::req(3, 500));
+        pump(&mut client, &mut net, SimTime::ZERO);
+        // The post is pending behind the write-path delay.
+        assert!(net.nodes[0].app.next_wake().is_some());
+        assert_idle_tick_is_noop(&mut net, SimTime::from_millis(100));
+    }
+
+    #[test]
+    fn stall_on_alias_drops_packets_to_its_origin() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(8));
+        let origin = IpAddr::new(31, 13, 64, 2);
+        net.add_server(
+            "graph.example.com",
+            origin,
+            Box::new(RpcServer::new(&[443])),
+        );
+        net.add_alias("push.example.com", origin);
+        net.stall_server("push.example.com", SimTime::ZERO, SimTime::from_secs(5));
+        let mut client = client();
+        client.connect(SocketAddr::new(origin, 443));
+        client.poll(SimTime::ZERO);
+        let syn = client.pop_egress().expect("SYN");
+        net.route(syn.clone(), SimTime::from_secs(1));
+        assert_eq!(net.stall_dropped, 1);
+        assert_eq!(net.next_wake(), None, "a dropped packet marks no node");
+        // After the window the origin answers.
+        net.route(syn, SimTime::from_secs(5));
+        net.tick(SimTime::from_secs(5));
+        assert_eq!(net.stall_dropped, 1);
+        assert_eq!(net.take_egress().len(), 1, "SYN-ACK");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid server stall: unknown server \"nope.example.com\"")]
+    fn stall_on_unknown_server_panics() {
+        let mut net = Internet::new(resolver(), DetRng::seed_from_u64(9));
+        net.add_server(
+            "web.example.com",
+            IpAddr::new(93, 184, 0, 1),
+            Box::new(RpcServer::new(&[80])),
+        );
+        net.stall_server("nope.example.com", SimTime::ZERO, SimTime::from_secs(1));
     }
 
     #[test]

@@ -352,18 +352,6 @@ pub struct CampaignRun<T> {
 }
 
 impl<T> CampaignRun<T> {
-    /// Rows of the jobs that produced one (first try or retried), in job
-    /// order.
-    pub fn ok_outputs(self) -> Vec<T> {
-        self.jobs
-            .into_iter()
-            .filter_map(|j| match j.outcome {
-                Outcome::Ok(v) | Outcome::Retried { row: v, .. } => Some(v),
-                Outcome::Faulted { .. } | Outcome::Panicked(_) => None,
-            })
-            .collect()
-    }
-
     /// Rows of all jobs in job order, resuming the first panic if any job
     /// failed. This restores pre-harness semantics for callers (tests,
     /// library users) that treat any failure as a bug rather than a data
@@ -472,7 +460,6 @@ mod tests {
             Outcome::Panicked(msg) if msg.contains("deliberate test panic")
         ));
         assert_eq!(run.jobs[2].outcome.ok(), Some(&30));
-        assert_eq!(run.ok_outputs(), vec![10, 30]);
     }
 
     #[test]
@@ -513,7 +500,6 @@ mod tests {
             }
         ));
         assert!(matches!(run.jobs[1].outcome, Outcome::Ok(7)));
-        assert_eq!(run.ok_outputs(), vec![99, 7]);
     }
 
     #[test]
@@ -530,7 +516,7 @@ mod tests {
             &run.jobs[0].outcome,
             Outcome::Faulted { reason, attempts: 2 } if reason.contains("attempt 2 failed")
         ));
-        assert_eq!(run.ok_outputs(), vec![5]);
+        assert!(matches!(run.jobs[1].outcome, Outcome::Ok(5)));
     }
 
     /// A component that always has more work: without the watchdog this

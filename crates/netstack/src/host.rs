@@ -10,7 +10,7 @@ use crate::dns;
 use crate::packet::{IpPacket, Proto};
 use crate::tcp::{TcpConfig, TcpSocket};
 use simcore::{earlier, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Handle to a socket owned by a [`Host`].
@@ -40,7 +40,9 @@ pub struct Host {
     egress: VecDeque<IpPacket>,
     resolver: SocketAddr,
     dns_cache: HashMap<String, IpAddr>,
-    dns_pending: HashMap<String, PendingQuery>,
+    /// Ordered by name, so queries that fall due in one poll go out in a
+    /// reproducible order (a `HashMap` would shuffle them per process).
+    dns_pending: BTreeMap<String, PendingQuery>,
 }
 
 impl Host {
@@ -57,7 +59,7 @@ impl Host {
             egress: VecDeque::new(),
             resolver,
             dns_cache: HashMap::new(),
-            dns_pending: HashMap::new(),
+            dns_pending: BTreeMap::new(),
         }
     }
 
@@ -167,6 +169,11 @@ impl Host {
     }
 
     /// Run timers and emit everything the host can send right now.
+    ///
+    /// Wake contract: polling a host that is not due ([`Host::next_wake`]
+    /// after `now`, or `None`) and has been handed no packet and no socket
+    /// or DNS request since its last poll is a no-op — no egress, the same
+    /// next wake. Owners may therefore skip such polls.
     pub fn poll(&mut self, now: SimTime) {
         // DNS queries and retries.
         let resolver = self.resolver;
@@ -344,6 +351,96 @@ mod tests {
         assert_eq!(wake, SimTime::from_secs(1));
         client.poll(wake);
         assert_eq!(std::iter::from_fn(|| client.pop_egress()).count(), 1);
+    }
+
+    #[test]
+    fn dns_queries_due_together_leave_in_name_order() {
+        let mut client = Host::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver_addr(),
+            TcpConfig::default(),
+        );
+        let names = ["m.example", "c.example", "x.example", "a.example"];
+        for name in names {
+            client.resolve(name, SimTime::ZERO);
+        }
+        client.poll(SimTime::ZERO);
+        let sent: Vec<String> = std::iter::from_fn(|| client.pop_egress())
+            .map(|p| {
+                dns::parse_query(p.udp_payload.as_deref().unwrap())
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        let mut sorted = names.map(String::from).to_vec();
+        sorted.sort();
+        assert_eq!(sent, sorted);
+    }
+
+    /// Poll `host` at `now`, which must precede its wake, and check the
+    /// [`Host::poll`] contract: no egress and the same next wake.
+    fn assert_idle_poll_is_noop(host: &mut Host, now: SimTime) {
+        let wake = host.next_wake();
+        assert!(wake.is_none_or(|w| w > now), "host is due at {now}");
+        host.poll(now);
+        assert!(host.pop_egress().is_none());
+        assert_eq!(host.next_wake(), wake);
+    }
+
+    #[test]
+    fn idle_poll_with_dns_pending_is_noop() {
+        let mut client = Host::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver_addr(),
+            TcpConfig::default(),
+        );
+        client.resolve("x.example", SimTime::ZERO);
+        client.poll(SimTime::ZERO);
+        assert!(client.pop_egress().is_some());
+        assert_idle_poll_is_noop(&mut client, SimTime::from_millis(500));
+    }
+
+    #[test]
+    fn idle_poll_with_rto_armed_is_noop() {
+        let mut client = Host::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver_addr(),
+            TcpConfig::default(),
+        );
+        client.connect(SocketAddr::new(IpAddr::new(31, 13, 0, 2), 443));
+        client.poll(SimTime::ZERO);
+        // The SYN is lost; its retransmission timer stays armed.
+        assert!(client.pop_egress().is_some());
+        assert!(client.next_wake().is_some());
+        assert_idle_poll_is_noop(&mut client, SimTime::from_millis(500));
+    }
+
+    #[test]
+    fn idle_poll_with_nothing_pending_is_noop() {
+        let mut client = Host::new(
+            IpAddr::new(10, 0, 0, 1),
+            resolver_addr(),
+            TcpConfig::default(),
+        );
+        let mut server = Host::new(
+            IpAddr::new(31, 13, 0, 2),
+            resolver_addr(),
+            TcpConfig::default(),
+        );
+        server.listen(443);
+        let dns = DnsServer::new(resolver_addr());
+        let c = client.connect(SocketAddr::new(server.ip, 443));
+        client.sock_mut(c).send(10_000);
+        pump(&mut client, &mut server, &dns, SimTime::ZERO);
+        // Let the idle retransmission timers lapse.
+        for host in [&mut client, &mut server] {
+            if let Some(w) = host.next_wake() {
+                host.poll(w);
+                assert!(host.pop_egress().is_none());
+            }
+            assert_eq!(host.next_wake(), None);
+            assert_idle_poll_is_noop(host, SimTime::from_secs(30));
+        }
     }
 
     #[test]

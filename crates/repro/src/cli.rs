@@ -1,54 +1,113 @@
 //! CLI helpers: the experiment index (`repro list`) and experiment-name
 //! matching for friendlier usage errors.
 
-/// Every experiment id the binary accepts (including aliases), with a
-/// one-line description. This is the single source of truth for both
-/// `repro list` and the closest-match suggestion on typos.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("table1", "Replayed behaviours and latency anchors"),
-    ("table2", "Experiment goals"),
-    ("table3", "Tool accuracy and overhead (§7.1)"),
-    ("fig6", "Alias of table3: accuracy and overhead (§7.1)"),
-    ("fig7", "Post uploading: device vs network delay (§7.2)"),
+/// Marks an [`EXPERIMENTS`] entry that `repro all` runs.
+const IN_ALL: bool = true;
+/// Marks an alias, a campaign `all` leaves out, or a meta command.
+const ALONE: bool = false;
+
+/// Every experiment id the binary accepts (including aliases), whether
+/// `repro all` runs it, and a one-line description. This is the single
+/// source of truth for `repro list`, `repro all` and the closest-match
+/// suggestion on typos.
+pub const EXPERIMENTS: &[(&str, bool, &str)] = &[
+    ("table1", IN_ALL, "Replayed behaviours and latency anchors"),
+    ("table2", IN_ALL, "Experiment goals"),
+    ("table3", IN_ALL, "Tool accuracy and overhead (§7.1)"),
+    (
+        "fig6",
+        ALONE,
+        "Alias of table3: accuracy and overhead (§7.1)",
+    ),
+    (
+        "fig7",
+        IN_ALL,
+        "Post uploading: device vs network delay (§7.2)",
+    ),
     (
         "fig8",
+        ALONE,
         "Fine-grained network latency of a 2-photo post (§7.2)",
     ),
-    ("fig10", "Background data vs post frequency (§7.3)"),
-    ("fig11", "Background energy vs post frequency (§7.3)"),
-    ("fig12", "Background data vs refresh interval (§7.3)"),
-    ("fig13", "Background energy vs refresh interval (§7.3)"),
+    ("fig10", IN_ALL, "Background data vs post frequency (§7.3)"),
+    ("fig11", ALONE, "Background energy vs post frequency (§7.3)"),
+    (
+        "fig12",
+        IN_ALL,
+        "Background data vs refresh interval (§7.3)",
+    ),
+    (
+        "fig13",
+        ALONE,
+        "Background energy vs refresh interval (§7.3)",
+    ),
     (
         "fig14",
+        IN_ALL,
         "News feed update latency, WebView vs ListView (§7.4)",
     ),
-    ("fig15", "Feed update device/network breakdown (§7.4)"),
-    ("fig16", "Network data per feed update (§7.4)"),
-    ("fig17", "Throttled vs unthrottled video QoE (§7.5)"),
-    ("fig18", "Shaping vs policing throughput signature (§7.5)"),
-    ("fig19", "Rebuffering vs throttled bandwidth sweep (§7.5)"),
+    (
+        "fig15",
+        ALONE,
+        "Feed update device/network breakdown (§7.4)",
+    ),
+    ("fig16", ALONE, "Network data per feed update (§7.4)"),
+    ("fig17", IN_ALL, "Throttled vs unthrottled video QoE (§7.5)"),
+    (
+        "fig18",
+        IN_ALL,
+        "Shaping vs policing throughput signature (§7.5)",
+    ),
+    (
+        "fig19",
+        IN_ALL,
+        "Rebuffering vs throttled bandwidth sweep (§7.5)",
+    ),
     (
         "fig20",
+        ALONE,
         "Initial loading vs throttled bandwidth sweep (§7.5)",
     ),
-    ("exp76", "Video ads and loading time (§7.6)"),
-    ("exp77", "RRC state machine design and page loads (§7.7)"),
+    ("exp76", IN_ALL, "Video ads and loading time (§7.6)"),
+    (
+        "exp77",
+        IN_ALL,
+        "RRC state machine design and page loads (§7.7)",
+    ),
     (
         "ablation",
+        IN_ALL,
         "Mapper, calibration and throttle-discipline ablations",
     ),
-    ("chaos", "Fault injection: QoE deltas + layer attribution"),
+    (
+        "chaos",
+        ALONE,
+        "Fault injection: QoE deltas + layer attribution",
+    ),
     (
         "monitor",
+        ALONE,
         "Longitudinal monitoring: epoch regressions + layer attribution",
     ),
-    ("list", "Print this experiment index"),
-    ("all", "Every experiment above at the requested scale"),
+    ("list", ALONE, "Print this experiment index"),
+    (
+        "all",
+        ALONE,
+        "Every experiment above at the requested scale",
+    ),
 ];
+
+/// The experiments `repro all` runs, in index order.
+pub fn all_experiments() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS
+        .iter()
+        .filter(|(_, in_all, _)| *in_all)
+        .map(|(id, _, _)| *id)
+}
 
 /// Print the experiment index, one `id  description` line per entry.
 pub fn print_list() {
-    for (name, desc) in EXPERIMENTS {
+    for (name, _, desc) in EXPERIMENTS {
         println!("{name:<10} {desc}");
     }
 }
@@ -77,7 +136,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 pub fn closest_experiment(input: &str) -> Option<&'static str> {
     EXPERIMENTS
         .iter()
-        .map(|(c, _)| (edit_distance(input, c), *c))
+        .map(|(c, _, _)| (edit_distance(input, c), *c))
         .min_by_key(|(d, _)| *d)
         .filter(|(d, _)| *d <= 2 && *d < input.chars().count())
         .map(|(_, c)| c)
@@ -110,13 +169,24 @@ mod tests {
 
     #[test]
     fn index_has_descriptions_for_every_id() {
-        for (name, desc) in EXPERIMENTS {
+        for (name, _, desc) in EXPERIMENTS {
             assert!(!name.is_empty() && !desc.is_empty());
         }
         // Ids are unique.
-        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn all_runs_each_campaign_once_in_index_order() {
+        assert_eq!(
+            all_experiments().collect::<Vec<_>>(),
+            [
+                "table1", "table2", "table3", "fig7", "fig10", "fig12", "fig14", "fig17", "fig18",
+                "fig19", "exp76", "exp77", "ablation",
+            ]
+        );
     }
 }

@@ -237,10 +237,7 @@ fn main() -> ExitCode {
     let mut failed = 0usize;
     match what.as_str() {
         "all" => {
-            for name in [
-                "table1", "table2", "table3", "fig7", "fig10", "fig12", "fig14", "fig17", "fig18",
-                "fig19", "exp76", "exp77", "ablation",
-            ] {
+            for name in repro::cli::all_experiments() {
                 failed += run(name, &opts);
             }
         }

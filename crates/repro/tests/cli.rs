@@ -49,7 +49,10 @@ fn list_prints_every_experiment_id() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    let expected: Vec<&str> = repro::cli::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    let expected: Vec<&str> = repro::cli::EXPERIMENTS
+        .iter()
+        .map(|(id, _, _)| *id)
+        .collect();
     assert_eq!(ids, expected);
 }
 

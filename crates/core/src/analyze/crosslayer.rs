@@ -184,9 +184,9 @@ trait WireAccess {
     fn at(&self, i: usize) -> u8;
 }
 
-impl WireAccess for bytes::Bytes {
+impl WireAccess for Vec<u8> {
     fn len(&self) -> usize {
-        self.as_ref().len()
+        Vec::len(self)
     }
     fn at(&self, i: usize) -> u8 {
         self[i]

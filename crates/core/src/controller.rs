@@ -15,7 +15,7 @@ use crate::behavior::{AppBehaviorLog, BehaviorRecord, StartKind};
 use device::ui::View;
 use device::world::World;
 use device::UiEvent;
-use simcore::{SimDuration, SimTime, Tick};
+use simcore::{SimDuration, SimTime};
 use std::fmt;
 use std::sync::Arc;
 
@@ -228,7 +228,6 @@ impl Controller {
         assert!(target >= self.now, "time goes forward");
         simcore::advance(&mut self.world, self.now, target);
         self.now = target;
-        simcore::settle(&mut self.world, self.now);
     }
 
     /// Let the scenario run for `d` (idle data collection).
@@ -239,9 +238,6 @@ impl Controller {
     /// Inject a UI interaction right now.
     pub fn interact(&mut self, ev: &UiEvent) {
         self.world.phone.inject_ui(ev, self.now);
-        // Force one tick so the app's immediate reaction (starting an RPC,
-        // resolving a name) registers with the network stack, then settle.
-        self.world.tick(self.now);
         self.advance_to(self.now);
     }
 

@@ -169,6 +169,9 @@ pub struct Phone {
     relaunch_at: Option<SimTime>,
     /// Scheduled forced tech switches (cellular attachments only).
     tech_switches: Vec<(SimTime, radio::bearer::BearerConfig)>,
+    /// Instant of a UI event injected since the last tick: the app's
+    /// reaction to it (a stored request, a started RPC) runs in that tick.
+    ui_wake: Option<SimTime>,
 }
 
 impl Phone {
@@ -203,6 +206,7 @@ impl Phone {
             crash_plan: Vec::new(),
             relaunch_at: None,
             tech_switches: Vec::new(),
+            ui_wake: None,
         }
     }
 
@@ -263,10 +267,13 @@ impl Phone {
         }
     }
 
-    /// Inject a UI interaction (controller entry point). Events injected
-    /// while the app is dead (crashed, not yet relaunched) are lost, as
-    /// they would be on a real device.
+    /// Inject a UI interaction (controller entry point). The phone is due
+    /// at `now` until its next tick, so a driver that only follows
+    /// [`Phone::next_wake`] runs the app's reaction. Events injected while
+    /// the app is dead (crashed, not yet relaunched) are lost, as they
+    /// would be on a real device; the tick at `now` happens all the same.
     pub fn inject_ui(&mut self, ev: &UiEvent, now: SimTime) {
+        self.ui_wake = Some(now);
         if self.app_down() {
             return;
         }
@@ -308,6 +315,7 @@ impl Phone {
     /// only when due; by the [`Host::poll`] contract the skipped polls were
     /// no-ops. The app is ticked at every instant either way (see [`App`]).
     pub(crate) fn tick(&mut self, now: SimTime, visit: Visit) {
+        self.ui_wake = None;
         if !self.started {
             self.started = true;
             let mut cx = Self::cx(
@@ -413,6 +421,7 @@ impl Phone {
         wake = earlier(wake, self.crash_plan.first().map(|(at, _)| *at));
         wake = earlier(wake, self.relaunch_at);
         wake = earlier(wake, self.tech_switches.first().map(|(at, _)| *at));
+        wake = earlier(wake, self.ui_wake);
         match &self.net {
             NetAttachment::Cell(b) => wake = earlier(wake, b.next_wake()),
             NetAttachment::Wifi { up, down } => {

@@ -52,7 +52,8 @@ fn world_with(app: Box<dyn App>, seed: u64) -> World {
     World::new(phone, internet)
 }
 
-/// Run the world to `end`, injecting `events` at their times.
+/// Run the world to `end`, injecting `events` at their times. Only
+/// `advance` drives it: an injection makes the phone due at its instant.
 fn drive(world: &mut World, mut events: Vec<(SimTime, UiEvent)>, end: SimTime) {
     events.sort_by_key(|(t, _)| *t);
     let mut now = SimTime::ZERO;
@@ -60,9 +61,31 @@ fn drive(world: &mut World, mut events: Vec<(SimTime, UiEvent)>, end: SimTime) {
         advance(world, now, at);
         now = at;
         world.phone.inject_ui(&ev, now);
-        world.tick(now);
     }
     advance(world, now, end);
+}
+
+#[test]
+fn injected_page_load_runs_under_advance_alone() {
+    // The browser only stores the page request on `KeyEnter`; the injection
+    // itself must make the world due, or `advance` never ticks the app.
+    let mut world = world_with(Box::new(BrowserApp::new(BrowserConfig::chrome())), 9);
+    let at = SimTime::from_secs(1);
+    advance(&mut world, SimTime::ZERO, at);
+    assert!(world.phone.capture.is_empty());
+    world.phone.inject_ui(
+        &UiEvent::TypeText {
+            target: ViewSignature::by_id("url_bar"),
+            text: "http://www.example.com/index.html".into(),
+        },
+        at,
+    );
+    world.phone.inject_ui(&UiEvent::KeyEnter, at);
+    assert_eq!(world.next_wake(), Some(at));
+    advance(&mut world, at, SimTime::from_secs(30));
+    assert!(!world.phone.capture.is_empty(), "no packets captured");
+    let (_, dl) = world.phone.capture.volume();
+    assert!(dl > 150_000, "downlink {dl}");
 }
 
 #[test]

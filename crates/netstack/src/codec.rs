@@ -5,7 +5,8 @@
 //! round-trips losslessly — including the application stream markers that
 //! are invisible on the simulated wire but part of the in-memory record.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use trace::{Codec, Reader, TraceError, Writer};
 
 use crate::addr::{IpAddr, SocketAddr};
@@ -120,7 +121,7 @@ impl Codec for IpPacket {
             payload_len: r.u32()?,
             udp_payload: match r.u8()? {
                 0 => None,
-                1 => Some(Bytes::copy_from_slice(r.blob()?)),
+                1 => Some(Arc::from(r.blob()?)),
                 other => Err(TraceError::Corrupt(format!("bad payload tag {other}")))?,
             },
             markers: Vec::<(u64, u64)>::decode(r)?,
@@ -166,7 +167,7 @@ mod tests {
                     },
                 }),
                 payload_len: 512,
-                udp_payload: Some(Bytes::copy_from_slice(b"dns-ish")),
+                udp_payload: Some(Arc::from(&b"dns-ish"[..])),
                 markers: vec![(100, 7), (612, 8)],
             },
         };

@@ -8,7 +8,7 @@
 //! on synthetic IDs.
 
 use crate::addr::{FlowKey, SocketAddr};
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 /// Combined IP + transport header size in bytes (20 IP + 20 TCP/UDP-padded).
 pub const HEADER_BYTES: u32 = 40;
@@ -67,7 +67,7 @@ pub struct IpPacket {
     /// carried explicitly in `udp_payload`.
     pub payload_len: u32,
     /// Explicit payload for UDP datagrams (DNS queries/responses).
-    pub udp_payload: Option<Bytes>,
+    pub udp_payload: Option<Arc<[u8]>>,
     /// Application stream markers carried by this segment: `(stream_end_pos,
     /// marker)` pairs. A marker stands in for application-layer framing the
     /// synthetic payload bytes would otherwise encode (request ids, response
@@ -91,36 +91,28 @@ impl IpPacket {
     /// The deterministic 40-byte header encoding shared by [`wire_bytes`]
     /// and [`wire_view`] (`Self::wire_bytes`, `Self::wire_view`).
     fn header_bytes(&self) -> [u8; HEADER_BYTES as usize] {
-        let mut buf = BytesMut::with_capacity(HEADER_BYTES as usize);
-        // "IP" header: version/proto marker, length, addresses.
-        buf.put_u8(0x45);
-        buf.put_u8(match self.proto {
+        let mut hdr = [0u8; HEADER_BYTES as usize];
+        // "IP" header: version/proto marker, length, 48-bit id, addresses.
+        hdr[0] = 0x45;
+        hdr[1] = match self.proto {
             Proto::Tcp => 6,
             Proto::Udp => 17,
-        });
-        buf.put_u16(self.wire_len() as u16);
-        buf.put_uint(self.id & 0xFFFF_FFFF_FFFF, 6);
-        buf.put_u32(self.src.ip.0);
-        buf.put_u32(self.dst.ip.0);
-        // "Transport" header.
-        buf.put_u16(self.src.port);
-        buf.put_u16(self.dst.port);
-        let (seq, ack, flags) = match self.tcp {
-            Some(h) => {
-                let f = (h.flags.syn as u8)
-                    | ((h.flags.ack as u8) << 1)
-                    | ((h.flags.fin as u8) << 2)
-                    | ((h.flags.rst as u8) << 3);
-                (h.seq, h.ack, f)
-            }
-            None => (0, 0, 0),
         };
-        buf.put_u64(seq);
-        buf.put_u64(ack);
-        buf.put_u8(flags);
-        buf.put_u8(0);
-        let mut hdr = [0u8; HEADER_BYTES as usize];
-        hdr.copy_from_slice(&buf);
+        hdr[2..4].copy_from_slice(&(self.wire_len() as u16).to_be_bytes());
+        hdr[4..10].copy_from_slice(&self.id.to_be_bytes()[2..]);
+        hdr[10..14].copy_from_slice(&self.src.ip.0.to_be_bytes());
+        hdr[14..18].copy_from_slice(&self.dst.ip.0.to_be_bytes());
+        // "Transport" header; bytes 38..40 are flags and a zero pad.
+        hdr[18..20].copy_from_slice(&self.src.port.to_be_bytes());
+        hdr[20..22].copy_from_slice(&self.dst.port.to_be_bytes());
+        if let Some(h) = self.tcp {
+            hdr[22..30].copy_from_slice(&h.seq.to_be_bytes());
+            hdr[30..38].copy_from_slice(&h.ack.to_be_bytes());
+            hdr[38] = (h.flags.syn as u8)
+                | ((h.flags.ack as u8) << 1)
+                | ((h.flags.fin as u8) << 2)
+                | ((h.flags.rst as u8) << 3);
+        }
         hdr
     }
 
@@ -150,32 +142,23 @@ impl IpPacket {
     /// long-jump mapper read two bytes per PDU) should prefer
     /// [`IpPacket::wire_view`], which serves bytes on demand without
     /// materializing the payload.
-    pub fn wire_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len() as usize);
-        buf.put_slice(&self.header_bytes());
-        let declared = self.payload_len as usize;
+    pub fn wire_bytes(&self) -> Vec<u8> {
+        let mut buf = vec![0u8; self.wire_len() as usize];
+        let (header, body) = buf.split_at_mut(HEADER_BYTES as usize);
+        header.copy_from_slice(&self.header_bytes());
         match self.body_gen() {
             WireBody::Explicit(p) => {
-                buf.put_slice(&p);
-                // Pad or truncate to the declared payload length.
-                match buf.len().cmp(&(HEADER_BYTES as usize + declared)) {
-                    core::cmp::Ordering::Less => buf.resize(HEADER_BYTES as usize + declared, 0),
-                    core::cmp::Ordering::Greater => buf.truncate(HEADER_BYTES as usize + declared),
-                    core::cmp::Ordering::Equal => {}
-                }
+                // Truncated or zero-padded to the declared payload length.
+                let n = p.len().min(body.len());
+                body[..n].copy_from_slice(&p[..n]);
             }
             WireBody::Stream { key, base } => {
-                // Fill a flat buffer rather than appending byte by byte: the
-                // slice loop has no per-byte capacity check, so the splitmix
-                // rounds vectorize.
-                let mut tail = vec![0u8; declared];
-                for (i, b) in tail.iter_mut().enumerate() {
+                for (i, b) in body.iter_mut().enumerate() {
                     *b = stream_byte(key, base.wrapping_add(i as u64));
                 }
-                buf.put_slice(&tail);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// A zero-materialization view of the wire bytes: serves any position of
@@ -199,7 +182,7 @@ impl IpPacket {
 #[derive(Debug, Clone)]
 enum WireBody {
     /// Explicitly carried bytes (UDP), zero-padded to the declared length.
-    Explicit(Bytes),
+    Explicit(Arc<[u8]>),
     /// Deterministic stream pattern: byte `j` is `stream_byte(key, base + j)`.
     Stream { key: u64, base: u64 },
 }
@@ -290,6 +273,59 @@ mod tests {
     }
 
     #[test]
+    fn header_bytes_are_pinned() {
+        // Big-endian fields at fixed offsets; the id keeps its low 48 bits.
+        let mut tcp = pkt(0, 1000);
+        tcp.id = 0x0123_4567_89AB_CDEF;
+        tcp.tcp = Some(TcpHeader {
+            seq: 0x1122_3344_5566_7788,
+            ack: 0x99,
+            flags: TcpFlags {
+                syn: true,
+                ack: true,
+                rst: true,
+                ..Default::default()
+            },
+        });
+        #[rustfmt::skip]
+        let tcp_header: [u8; 40] = [
+            0x45, 6, 0x04, 0x10,
+            0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF,
+            10, 0, 0, 1,
+            31, 13, 0, 2,
+            0x9C, 0x40, 0x01, 0xBB,
+            0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88,
+            0, 0, 0, 0, 0, 0, 0, 0x99,
+            0x0B, 0,
+        ];
+        assert_eq!(tcp.wire_bytes()[..40], tcp_header);
+
+        let udp = IpPacket {
+            id: 5,
+            src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 5353),
+            dst: SocketAddr::new(IpAddr::new(8, 8, 8, 8), 53),
+            proto: Proto::Udp,
+            tcp: None,
+            payload_len: 3,
+            udp_payload: Some(Arc::from(&b"Q:x"[..])),
+            markers: Vec::new(),
+        };
+        #[rustfmt::skip]
+        let udp_wire: [u8; 43] = [
+            0x45, 17, 0, 43,
+            0, 0, 0, 0, 0, 5,
+            10, 0, 0, 1,
+            8, 8, 8, 8,
+            0x14, 0xE9, 0, 53,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0,
+            b'Q', b':', b'x',
+        ];
+        assert_eq!(udp.wire_bytes(), udp_wire);
+    }
+
+    #[test]
     fn wire_bytes_match_declared_length() {
         let p = pkt(1234, 500);
         assert_eq!(p.wire_bytes().len() as u32, p.wire_len());
@@ -303,12 +339,12 @@ mod tests {
         let mut udp_short = pkt(0, 64);
         udp_short.proto = Proto::Udp;
         udp_short.tcp = None;
-        udp_short.udp_payload = Some(Bytes::from_static(b"query"));
+        udp_short.udp_payload = Some(Arc::from(&b"query"[..]));
         cases.push(udp_short);
         let mut udp_long = pkt(0, 4);
         udp_long.proto = Proto::Udp;
         udp_long.tcp = None;
-        udp_long.udp_payload = Some(Bytes::from_static(b"overlong payload"));
+        udp_long.udp_payload = Some(Arc::from(&b"overlong payload"[..]));
         cases.push(udp_long);
         let mut raw = pkt(0, 33);
         raw.tcp = None;
@@ -317,8 +353,8 @@ mod tests {
             let eager = p.wire_bytes();
             let view = p.wire_view();
             assert_eq!(eager.len(), view.len());
-            for i in 0..eager.len() {
-                assert_eq!(eager[i], view.at(i), "byte {i} of {p:?}");
+            for (i, &byte) in eager.iter().enumerate() {
+                assert_eq!(byte, view.at(i), "byte {i} of {p:?}");
             }
         }
     }
@@ -355,7 +391,7 @@ mod tests {
 
     #[test]
     fn udp_payload_is_carried_verbatim() {
-        let data = Bytes::from_static(b"Q:api.facebook.com");
+        let data: Arc<[u8]> = Arc::from(&b"Q:api.facebook.com"[..]);
         let p = IpPacket {
             id: 1,
             src: SocketAddr::new(IpAddr::new(10, 0, 0, 1), 5353),

@@ -84,7 +84,8 @@ fn outcome(mut world: World, next_wake: Option<SimTime>) -> Outcome {
 
 /// Run `world` to [`END`] with the wake-indexed loop or the reference
 /// loop, injecting `script` at its instants the way `Controller::interact`
-/// does: inject, then one forced tick so the app's reaction registers.
+/// does: inject, then advance, which ticks the injection instant because
+/// the phone is due there.
 fn run(mut world: World, script: &[(SimTime, UiEvent)], reference: bool) -> Outcome {
     let step = |world: &mut World, from: SimTime, to: SimTime| {
         if reference {
@@ -97,11 +98,6 @@ fn run(mut world: World, script: &[(SimTime, UiEvent)], reference: bool) -> Outc
     for (at, ev) in script {
         step(&mut world, now, *at);
         world.phone.inject_ui(ev, *at);
-        if reference {
-            TickEverything(&mut world).tick(*at);
-        } else {
-            world.tick(*at);
-        }
         now = *at;
     }
     step(&mut world, now, END);

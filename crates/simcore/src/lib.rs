@@ -33,3 +33,25 @@ pub use rng::DetRng;
 pub use runner::{advance, earlier, run_until, settle, Tick};
 pub use stats::{midranks, percentile, percentile_sorted, BinSeries, Cdf, SortedSamples, Summary};
 pub use time::{SimDuration, SimTime};
+
+#[cfg(test)]
+mod tests {
+    use super::DetRng;
+
+    #[test]
+    fn f64_in_unit_interval() {
+        let mut r = DetRng::seed_from_u64(2);
+        for _ in 0..10_000 {
+            assert!((0.0..1.0).contains(&r.f64()));
+        }
+    }
+
+    #[test]
+    fn range_respects_bounds() {
+        let mut r = DetRng::seed_from_u64(2);
+        for _ in 0..10_000 {
+            assert!((10..20).contains(&r.range_u64(10, 20)));
+            assert!(r.index(7) < 7);
+        }
+    }
+}
